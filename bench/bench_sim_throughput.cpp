@@ -204,9 +204,7 @@ cmp2SharedBenchMix()
     return mix;
 }
 
-/** Total committed instructions per CPU-second for an N-core chip
- * (sequential kernel: the default GALS_CHIP_THREADS=1 path is what
- * the tracked columns gate). */
+/** Total committed instructions per CPU-second for an N-core chip. */
 double
 measureCmpItemsPerSec(int cores,
                       const std::vector<WorkloadParams> &mix)

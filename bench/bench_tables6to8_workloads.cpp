@@ -51,7 +51,7 @@ printTables()
 {
     benchBanner("Tables 6-8: benchmark applications",
                 "paper Section 4, Tables 6, 7, 8 (synthetic analogs; "
-                "windows scaled ~1000x, see DESIGN.md)");
+                "windows scaled ~1000x, see workload/suite.hh)");
     printSuite("Table 6: MediaBench applications", "MediaBench");
     printSuite("Table 7: Olden applications", "Olden");
     printSuite("Table 8a: SPEC2000 integer applications",

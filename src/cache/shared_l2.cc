@@ -46,19 +46,6 @@ SharedL2::resetInterval(int core)
     iv.accesses = 0;
 }
 
-Tick
-SharedL2::nextFillCompletionAfter(Tick t) const
-{
-    Tick earliest = kTickMax;
-    for (const Bank &b : banks_) {
-        for (const Fill &f : b.fills) {
-            if (f.done > t && f.done < earliest)
-                earliest = f.done;
-        }
-    }
-    return earliest;
-}
-
 AccessOutcome
 SharedL2::access(int core, Addr addr)
 {

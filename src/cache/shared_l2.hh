@@ -166,16 +166,6 @@ class SharedL2
         return p_.shared_bytes != 0 && p_.cores > 1;
     }
 
-    /**
-     * Horizon input of the parallel chip stepper: the earliest
-     * in-flight fill completing strictly after `t`, across every
-     * bank (kTickMax when none). Completed fills are the only
-     * carriers a cross-core publication can ride — bank occupancy
-     * windows merely delay gated requests — so a round bounded by
-     * this never needs a wake merged into its own window.
-     */
-    Tick nextFillCompletionAfter(Tick t) const;
-
   private:
     friend class InterconnectPort;
 
@@ -235,7 +225,7 @@ class SharedL2
 
     /**
      * Per-core invalidation inboxes. Appended in publication order
-     * ((pub_tick, publisher) — the deferred-merge order), and since
+     * ((pub_tick, publisher) — the step order), and since
      * coh_delay is a single fixed chip parameter the deliver_at
      * sequence per inbox is monotone: the LSU drains a simple FIFO.
      */

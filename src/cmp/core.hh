@@ -83,9 +83,7 @@ class Core
     {
         return wl_params_.warmup_instrs + wl_params_.sim_instrs;
     }
-    /** The scheduler stop condition for this core's window — the
-     * unit both the sequential interleave and a horizon-parallel
-     * worker group step to completion. */
+    /** The scheduler stop condition for this core's window. */
     CoreProgress progressStop() const;
 
     /** Measured-window statistics (after a run). */

@@ -152,11 +152,9 @@ class FrontEnd final : public Domain
     int fetch_b_lat_ = -1;
     /**
      * Pre-generated op batch: fetch refills it with one tight
-     * nextBatch() call instead of generating one op per fetch slot.
-     * Under the horizon-parallel chip stepper the refill runs inside
-     * the owning worker's round (fetch executes there), which is
-     * what takes the generator off the serial per-op path; streams
-     * are bit-exact by construction (generation is open-loop). Ops
+     * nextBatch() call instead of generating one op per fetch slot;
+     * streams are bit-exact by construction (generation is
+     * open-loop). Ops
      * past the progress target are generated but never consumed —
      * the generator has no side effects outside its own state.
      */

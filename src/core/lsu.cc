@@ -91,12 +91,12 @@ LoadStoreUnit::l2TotalBHits() const
 // ---------------------------------------------------------------------
 
 void
-LoadStoreUnit::applyDCache(int target, Tick now)
+LoadStoreUnit::applyDCache(int target)
 {
     const DCachePairConfig &dc = dcachePairConfig(target);
     l1d_->setPartition(dc.l1_adapt.assoc, cfg_.phase_adaptive);
     if (icp_ != nullptr)
-        icp_->reconfigure(core_index_, target, now);
+        icp_->reconfigure(core_index_, target);
     else
         l2_->setPartition(dc.l2_adapt.assoc, cfg_.phase_adaptive);
 }

@@ -86,7 +86,7 @@ class LoadStoreUnit final : public Domain
 
     /** Re-partition the D-cache pair to row `target` (ReconfigUnit;
      * cur_cfg_ already updated by the caller). */
-    void applyDCache(int target, Tick now);
+    void applyDCache(int target);
 
     // ------------------------------------------------------------------
     // Structure access (rename, retire, invariants, statistics).

@@ -115,7 +115,7 @@ struct MachineConfig
     //
     // The paper uses 15K-instruction intervals and ~15us PLL locks
     // against 100M+-instruction windows. Our windows are scaled down
-    // ~1000x (DESIGN.md §5), so the adaptation timescales are scaled
+    // ~1000x (workload/suite.hh), so the adaptation timescales are scaled
     // too, preserving the interval:phase:window proportions. Paper-
     // faithful values are restored by setting cache_interval_instrs
     // to 15'000 and pll to PllParams{15.0, 1.7, 10.0, 20.0}.

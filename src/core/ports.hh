@@ -32,9 +32,7 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <vector>
 
 #include "clock/sync_fifo.hh"
 #include "common/logging.hh"
@@ -53,9 +51,9 @@ constexpr int kMaxCores = 16;
  * (a core uses four; a chip uses four per core). */
 constexpr int kMaxSchedDomains = kMaxCores * kNumDomains;
 
-/** Per-core in-flight fill (MSHR) ceiling assumed by the ordered
- * request gate's stack sizing — a bound on the private hierarchy's
- * MSHR count, not on the shared banks'. */
+/** Per-core in-flight fill (MSHR) ceiling assumed by the
+ * interconnect request's fill-slot scan (its stack sizing) — a bound
+ * on the private hierarchy's MSHR count, not on the shared banks'. */
 constexpr int kMaxCoreMshrs = 16;
 
 /**
@@ -125,7 +123,7 @@ class WakeFabric
 
   private:
     friend class WakeHub;
-    friend class InterconnectPort; // deferred-wake merge at a barrier.
+    friend class InterconnectPort; // cross-core coherence wakes.
 
     /**
      * Record that global domain `gd` may have work at `t`. Lazy key:
@@ -656,75 +654,6 @@ struct L2Reply
 };
 
 /**
- * Shared ordering state of one horizon-parallel chip round (see
- * docs/kernel.md). Each worker owns one *front*: a packed
- * (tick, global domain index) order point promising that every step
- * of the worker's cores ordered strictly below it has completed. A
- * worker publishes its front (release) before executing the step at
- * that point; an interconnect request at order point p spins
- * (acquire) until every other worker's front is past p, which makes
- * shared-bank touches globally ordered exactly as the sequential
- * scheduler orders steps — the parallel kernel's bit-identity
- * argument in one invariant. Two fronts can never be equal to a
- * request's point (distinct cores own distinct global indices), so
- * the gate is deadlock-free: the least-ordered blocked request always
- * finds every other front beyond it.
- *
- * Core ownership is per *round*, not per run: at each round barrier
- * the driver zeroes every front (order point 0 precedes every real
- * point, so all gates conservatively block) and workers then race an
- * atomic cursor over the round's live-core worklist, writing their
- * claims into `worker_of_core` before publishing a real front. Which
- * worker wins a core cannot change results — the gate and the
- * deferred-wake merge order shared-state touches by global step
- * order regardless of the partition — so the claim race is benign by
- * construction (the 3-way differential gate pins it).
- */
-struct ChipSyncState
-{
-    /** Front of a worker that finished its window (orders after
-     * every real point). */
-    static constexpr std::uint64_t kDone = ~std::uint64_t{0};
-
-    /** Bits of the packed order point reserved for the global
-     * domain index; the remaining 64 - kDomainBits carry the tick.
-     * 6 bits cover the 64 global domains of a 16-core chip. */
-    static constexpr int kDomainBits = 6;
-    static_assert(kMaxSchedDomains <= (1 << kDomainBits),
-                  "the packed front's global-domain field cannot "
-                  "encode every scheduler domain: raising kMaxCores "
-                  "requires widening kDomainBits (and shrinking the "
-                  "tick field) in step");
-
-    /**
-     * Pack a (tick, global domain index) order point so that integer
-     * comparison is the reference kernel's step order: time, then
-     * lowest global index. 58 tick bits cover ~3.3 days of simulated
-     * picoseconds; saturate one bit below that (kTickMax keys and
-     * any absurdly late tick order last).
-     */
-    static std::uint64_t
-    pack(Tick t, int gd)
-    {
-        if (t >= (Tick{1} << 57))
-            return kDone;
-        return (static_cast<std::uint64_t>(t) << kDomainBits) |
-               static_cast<std::uint64_t>(gd);
-    }
-
-    /** One cache line per front: workers republish theirs every
-     * step, and every gate polls the others. */
-    struct alignas(64) Front
-    {
-        std::atomic<std::uint64_t> v{0};
-    };
-
-    std::array<Front, kMaxCores> fronts;
-    std::array<int, kMaxCores> worker_of_core{};
-    int nworkers = 0;
-};
-
-/**
  * The cross-core interconnect: the request/response channel between
  * each core's private L1s and the shared banked L2 (cache/shared_l2).
  *
@@ -772,12 +701,12 @@ class InterconnectPort
 
     /**
      * A core's D-cache controller chose configuration row `target`
-     * during its load/store domain's step at `now`. The shared L2's
+     * during its load/store domain's step. The shared L2's
      * partition and latency row are owned by core 0 (a shared
      * structure cannot follow every core's private decision); other
      * cores' votes reconfigure their L1 only.
      */
-    void reconfigure(int core, int target, Tick now);
+    void reconfigure(int core, int target);
 
     // ------------------------------------------------------------------
     // Cross-core coherence (the first genuine cross-core wakes).
@@ -785,9 +714,7 @@ class InterconnectPort
 
     /**
      * Attach the chip's wake fabric: the delivery target of
-     * sequential-mode coherence wakes (the parallel stepper instead
-     * routes them through deferWake and the round barrier's drain).
-     * Unit tests that never publish may skip this.
+     * coherence wakes. Unit tests that never publish may skip this.
      */
     void attachFabric(WakeFabric *fabric) { fabric_ = fabric; }
 
@@ -819,54 +746,6 @@ class InterconnectPort
      */
     Tick nextCoherenceAt(int core) const;
 
-    // ------------------------------------------------------------------
-    // Horizon-parallel stepping (the chip's round driver).
-    // ------------------------------------------------------------------
-
-    /** Enter parallel mode: every request gates on the other
-     * workers' fronts until the round driver calls endParallel. */
-    void beginParallel(ChipSyncState *sync) { sync_ = sync; }
-    void endParallel() { sync_ = nullptr; }
-
-    /**
-     * Queue a cross-core wake published by global domain `publisher`'s
-     * step at `pub_tick` for delivery at the next round barrier:
-     * global domain `consumer` may have work at `when`. Coherence
-     * invalidations are the production publisher (publishStore routes
-     * here under the parallel stepper); such wakes carry a payload —
-     * the line to drop into `target_core`'s inbox when the wake is
-     * merged — so the inbox push happens single-threaded at the
-     * barrier rather than racing the consumer's drain mid-round.
-     * Payload-free wakes (target_core < 0) stay legal for tests.
-     */
-    void deferWake(Tick pub_tick, int publisher, int consumer,
-                   Tick when, int target_core = -1, Addr line_base = 0);
-
-    /**
-     * Deliver the queued cross-core wakes into the fabric, in
-     * publication order. Called single-threaded at the round barrier
-     * with the just-finished window `[window_start, window_end)`:
-     * every worker has stepped its cores up to (strictly below)
-     * `window_end`, so a wake landing before it would rewrite the
-     * past — the horizon computation exists to make that impossible,
-     * and this asserts it. A publication tick before `window_start`
-     * is equally impossible (the publisher's step ran inside the
-     * window) and is rejected as a stale publication. The queue must
-     * already be in nondecreasing (pub_tick, publisher) order: gated
-     * requests execute in global step order, so an out-of-order entry
-     * means a publication escaped the gate (same divergence class
-     * bankPublish trips on).
-     */
-    void drainDeferred(WakeFabric &fabric, Tick window_start,
-                       Tick window_end);
-
-    /** True when no cross-core wake is queued (round bookkeeping). */
-    bool deferredEmpty() const { return deferred_.empty(); }
-
-    /** Cross-core wakes merged at round barriers so far: the proof a
-     * run genuinely exercised the deferred channel. */
-    std::uint64_t deferredDrained() const { return deferred_drained_; }
-
     // Per-core accounting pass-through (the LSU's controller and
     // RunStats paths reach the shared cache only through the port).
     const IntervalCounts &interval(int core) const;
@@ -886,33 +765,12 @@ class InterconnectPort
      */
     void bankPublish(int bank, int consumer, Tick now);
 
-    /** Spin until every other worker's front is past (now, consumer):
-     * the parallel kernel's shared-state ordering gate (no-op in
-     * sequential mode). */
-    void gate(int core, int consumer, Tick now) const;
-
     L2Reply request(int core, DomainId consumer_local, Addr addr,
                     Tick t_req, Tick period, Tick now);
-
-    /** One queued cross-core wake (see deferWake). */
-    struct DeferredWake
-    {
-        Tick pub_tick;
-        int publisher;
-        int consumer;
-        Tick when;
-        /** Inbox payload: core whose inbox receives `line_base` at
-         * the merge (-1: pure wake, no payload). */
-        int target_core;
-        Addr line_base;
-    };
 
     SharedL2 &l2_;
     int cores_;
     WakeFabric *fabric_ = nullptr;
-    ChipSyncState *sync_ = nullptr;
-    std::vector<DeferredWake> deferred_;
-    std::uint64_t deferred_drained_ = 0;
 };
 
 } // namespace gals

@@ -14,7 +14,7 @@
  * Fetch is oracle-driven: a mispredicted branch halts fetch until it
  * resolves in the integer domain, so the flush penalty (front-end
  * depth + dispatch depth + synchronization) is paid in time without
- * modeling wrong-path instructions (see DESIGN.md §4).
+ * modeling wrong-path instructions.
  */
 
 #ifndef GALS_CORE_PROCESSOR_HH

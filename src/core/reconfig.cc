@@ -56,7 +56,7 @@ ReconfigUnit::currentIndexOf(Structure s) const
 }
 
 void
-ReconfigUnit::applyStructure(Structure s, int target, Tick now)
+ReconfigUnit::applyStructure(Structure s, int target)
 {
     switch (s) {
       case Structure::ICache:
@@ -65,7 +65,7 @@ ReconfigUnit::applyStructure(Structure s, int target, Tick now)
         break;
       case Structure::DCachePair:
         cur_cfg_.dcache = target;
-        lsu_->applyDCache(target, now);
+        lsu_->applyDCache(target);
         break;
       case Structure::IntIssueQueue:
         cur_cfg_.iq_int = target;
@@ -126,7 +126,7 @@ ReconfigUnit::request(Structure s, int target, Tick now,
     if (f_new >= f_old) {
         // Speeding up: run the simpler configuration through the
         // lock window (downsize at the start of the change).
-        applyStructure(s, target, now);
+        applyStructure(s, target);
     } else {
         // Slowing down: upsize only once the slower clock is locked.
         pending_[static_cast<size_t>(d)] =
@@ -139,7 +139,7 @@ ReconfigUnit::applyPending(DomainId d, Tick now)
 {
     PendingApply &p = pending_[static_cast<size_t>(d)];
     if (p.active && now >= p.apply_at) {
-        applyStructure(p.structure, p.target, now);
+        applyStructure(p.structure, p.target);
         p.active = false;
     }
 }

@@ -31,7 +31,6 @@
 #ifndef GALS_CORE_SCHEDULER_HH
 #define GALS_CORE_SCHEDULER_HH
 
-#include <array>
 #include <cstdint>
 
 #include "clock/clock.hh"
@@ -47,25 +46,6 @@ struct CoreProgress
 {
     const std::uint64_t *progress;
     std::uint64_t target;
-};
-
-/**
- * One worker's share of a horizon-parallel chip *round*: the cores it
- * claimed through the round's atomic cursor, which of them finished
- * their windows during the round, and its watchdog counters. The
- * driver rebuilds members/done (and resets the watchdog — group
- * membership changes between rounds, so a cross-round progress
- * comparison would be meaningless) in every claim phase. Aligned so
- * two workers' hot counters never share a cache line.
- */
-struct alignas(64) GroupRun
-{
-    std::array<int, kMaxCores> members{}; //!< cores, ascending.
-    int nmembers = 0;
-    std::array<bool, kMaxCores> done{}; //!< by member slot.
-    int active = 0;                     //!< members still running.
-    std::uint64_t steps = 0;            //!< watchdog (this round).
-    std::uint64_t last_progress = 0;
 };
 
 /** Steps a set of domain units in reference-equivalent order. */
@@ -93,21 +73,6 @@ class DomainScheduler
 
     /** Reference kernel: step every active domain at every edge. */
     void runReference(const CoreProgress *cores, int ncores);
-
-    /**
-     * Event kernel, one worker's turn of a horizon-parallel round:
-     * step the group's cores — their private calendar interleave is
-     * the global (time, lowest global index) order restricted to
-     * those cores — until the group's earliest calendar key reaches
-     * `horizon` or every member finished. Maintains the worker's
-     * front in `sync` (published *before* each step, so the
-     * interconnect gates of other workers order every shared-bank
-     * touch exactly as the sequential kernel would execute it).
-     * `cores` is the full chip-wide stop-condition array, indexed by
-     * core.
-     */
-    void stepGroupUntil(GroupRun &g, const CoreProgress *cores,
-                        Tick horizon, ChipSyncState *sync, int worker);
 
     // Single-core conveniences (Processor).
     void runEvent(const std::uint64_t &progress, std::uint64_t target);

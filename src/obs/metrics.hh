@@ -4,7 +4,7 @@
  * units publish into, serialized as one deterministic JSON document
  * (docs/observability.md). This is the machine-readable telemetry
  * surface — the result store's stderr stats line and the chip's
- * worker_claims / parallel_rounds telemetry all fold into it — while
+ * L2, interconnect and coherence counters all fold into it — while
  * human-facing stderr lines stay as they are.
  *
  * Opt-in output: `GALS_METRICS=<path>` writes the registry at

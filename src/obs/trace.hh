@@ -1,20 +1,13 @@
 /**
  * @file
- * Deterministic dual-lane event tracer (docs/observability.md).
+ * Deterministic simulated-time event tracer (docs/observability.md).
  *
- * Two clock lanes:
- *  - the *simulated* lane, timestamped in picosecond ticks: domain
- *    step spans, PLL relocks and epoch bumps, reconfiguration
- *    decisions, coherence invalidation/delivery messages, L2 bank
- *    conflicts and fills, and parallel-round horizon boundaries;
- *  - the *host* lane, timestamped in nanoseconds of wall time since
- *    the tracer was armed: per-worker round and barrier-wait spans,
- *    interconnect gate-spin time, and work-stealing claims.
- *
- * Events land in per-track append buffers — one track per (core,
- * domain) plus a chip-level track in the simulated lane, two per
- * worker in the host lane — and are exported as Chrome trace-event
- * JSON loadable in Perfetto / chrome://tracing.
+ * Events are timestamped in simulated picosecond ticks: domain step
+ * spans, PLL relocks and epoch bumps, reconfiguration decisions,
+ * coherence invalidation/delivery messages, and L2 bank conflicts and
+ * fills. They land in per-track append buffers — one track per
+ * (core, domain) — and are exported as Chrome trace-event JSON
+ * loadable in Perfetto / chrome://tracing.
  *
  * The tracer is strictly observation-only. It is off by default and
  * armed by `GALS_TRACE=<path>` (the result-store opt-in pattern:
@@ -29,17 +22,14 @@
  * Publication-order contract: every track's timestamps are
  * nondecreasing in record order, asserted at record time (the same
  * spirit as the port layer's publication-order tripwires). The
- * instrumentation sites guarantee it structurally — each simulated
- * track is written only from its own core's steps (worker-exclusive
- * within a parallel round, rounds ordered by the barrier) or from
- * single-threaded round boundaries, and each host track is written
- * only by its own worker.
+ * instrumentation sites guarantee it structurally — each track is
+ * written only from its own domain's steps or from ports acting
+ * inside them, in the scheduler's (time, global index) order.
  */
 
 #ifndef GALS_OBS_TRACE_HH
 #define GALS_OBS_TRACE_HH
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -54,11 +44,6 @@ namespace gals
 namespace obs
 {
 
-/** One worker slot per supported core (mirrors kMaxChipWorkers /
- * kMaxCores in sim/parallel.hh and core/ports.hh; static_asserts in
- * trace.cc keep them in step without an include cycle). */
-constexpr int kTraceMaxWorkers = 16;
-
 /** Traced-run cap: a process tracing more runs than this (a sweep
  * under GALS_TRACE) keeps the first kTraceMaxRuns and counts the
  * rest as skipped, reported in the export's otherData. */
@@ -69,11 +54,10 @@ constexpr int kTraceMaxRuns = 16;
  * reconfiguration — always survive). */
 constexpr std::size_t kTraceMaxEventsPerTrack = std::size_t{1} << 18;
 
-/** Event taxonomy, both lanes (docs/observability.md lists the
- * emitted name, category, and argument schema of each). */
+/** Event taxonomy (docs/observability.md lists the emitted name,
+ * category, and argument schema of each). */
 enum class Ev : std::uint8_t
 {
-    // Simulated lane.
     DomainRun,      //!< merged busy span of consecutive domain steps
     EpochBump,      //!< a period change landed (grid epoch broadcast)
     PllRelock,      //!< reconfig started a PLL relock window
@@ -85,17 +69,10 @@ enum class Ev : std::uint8_t
     MshrWait,       //!< miss waited for a bank fill slot
     L2Fill,         //!< miss issued a memory fill
     FillMerge,      //!< hit merged with another core's in-flight fill
-    Round,          //!< parallel-round window boundary (chip track)
-    // Host lane.
-    WorkerRound,    //!< worker span from claim phase to barrier arrive
-    BarrierWait,    //!< worker span from barrier arrive to release
-    GateSpin,       //!< interconnect gate spin-wait span
-    StealClaim,     //!< worker claimed a core off the round worklist
 };
 
-/** One recorded event. `ts`/`dur` are picoseconds on the simulated
- * lane and host nanoseconds on the host lane; dur == 0 is an
- * instant. */
+/** One recorded event. `ts`/`dur` are simulated picoseconds; dur ==
+ * 0 is an instant. */
 struct TraceRecord
 {
     Tick ts = 0;
@@ -159,20 +136,12 @@ class Tracer
      */
     bool beginRun(const char *label, int ncores);
 
-    /** Record the parallel worker count of the current run. */
-    void setRunWorkers(int nworkers);
-
     /** Release the claim taken by a successful beginRun(). */
     void endRun();
 
-    /** Join (true) or leave (false) the traced run from a chip
-     * worker thread. Purely a thread-local flag flip; the spawn and
-     * join edges of the worker pool order it against beginRun. */
-    static void adoptThread(bool on);
-
     // ------------------------------------------------------------------
-    // Simulated lane (timestamps in picosecond ticks). Callers must
-    // check obs::tracing() first; these also no-op defensively.
+    // Recording (timestamps in picosecond ticks). Callers must check
+    // obs::tracing() first; these also no-op defensively.
     // ------------------------------------------------------------------
 
     /** A domain step at `edge` on global domain `gd`: merged into
@@ -183,33 +152,6 @@ class Tracer
     /** An instant on global domain `gd`'s track. */
     void sim(int gd, Ev kind, Tick ts, std::uint64_t a0 = 0,
              std::uint64_t a1 = 0);
-
-    /** An instant on the chip-level track (round boundaries); only
-     * ever called single-threaded. */
-    void chip(Ev kind, Tick ts, std::uint64_t a0 = 0);
-
-    // ------------------------------------------------------------------
-    // Host lane (timestamps in nanoseconds from hostNow()).
-    // ------------------------------------------------------------------
-
-    /** Monotonic host nanoseconds since the tracer was armed. */
-    std::uint64_t hostNow() const;
-
-    /** CPU nanoseconds consumed by the calling thread. */
-    static std::uint64_t hostThreadCpuNs();
-
-    /** Span on worker `w`'s main track (rounds, barrier waits). */
-    void hostSpan(int w, Ev kind, std::uint64_t begin,
-                  std::uint64_t end, std::uint64_t a0 = 0,
-                  std::uint64_t a1 = 0);
-
-    /** Span on worker `w`'s waits track (gate spins). */
-    void hostWaitSpan(int w, Ev kind, std::uint64_t begin,
-                      std::uint64_t end, std::uint64_t a0 = 0);
-
-    /** Instant on worker `w`'s waits track (steal claims). */
-    void hostWait(int w, Ev kind, std::uint64_t ts,
-                  std::uint64_t a0 = 0);
 
     // ------------------------------------------------------------------
     // Export and introspection.
@@ -228,9 +170,8 @@ class Tracer
     /** Flat view of one track for tests. */
     struct TrackView
     {
-        std::string name;    //!< e.g. "core0/ls", "chip", "worker1"
+        std::string name;    //!< e.g. "core0/ls"
         int run = 0;         //!< run index within the process
-        bool host = false;   //!< host lane?
         const std::vector<TraceRecord> *events = nullptr;
     };
     /** Every non-empty track of every recorded run. Call only while
@@ -256,12 +197,8 @@ class Tracer
     {
         std::string label;
         int ncores = 0;
-        int nworkers = 0;
-        /** ncores * kNumDomains domain tracks + one chip track. */
-        std::vector<Track> sim;
-        /** Two tracks per worker: [2w] rounds/barriers, [2w+1]
-         * gate spins and steal claims. */
-        std::array<Track, 2 * kTraceMaxWorkers> host;
+        /** ncores * kNumDomains domain tracks. */
+        std::vector<Track> tracks;
     };
 
     void record(Track &t, Ev kind, Tick ts, Tick dur,
@@ -274,7 +211,6 @@ class Tracer
     RunTrace *cur_ = nullptr;
     std::atomic<bool> run_active_{false};
     std::uint64_t skipped_runs_ = 0;
-    std::uint64_t host_epoch_ns_ = 0;
 };
 
 /**

@@ -101,9 +101,9 @@ buildICacheTable()
     // 32 sub-banks, with the matched predictor organizations.
     const int hg[kNumAdaptiveConfigs] = {14, 15, 15, 16};
     const int hl[kNumAdaptiveConfigs] = {11, 12, 12, 13};
-    // A/B partition latencies for the I-cache; the paper gives the
-    // D-cache pairs only, so we use the analogous schedule (assumption
-    // documented in DESIGN.md).
+    // A/B partition latencies for the I-cache. The paper gives them
+    // for the D-cache pairs only; this is our assumption of the
+    // analogous schedule (B latency shrinking as A grows).
     const int b_lat[kNumAdaptiveConfigs] = {6, 4, 2, -1};
     const char *names[kNumAdaptiveConfigs] = {"16k1W", "32k2W", "48k3W",
                                               "64k4W"};

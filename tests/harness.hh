@@ -184,8 +184,8 @@ randomChipConfig(Pcg32 &rng, int cores)
     cc.l2_bank_occupancy_ps =
         static_cast<Tick>(rng.nextRange(100, 1200));
     // Coherence latency draw: short delays pack invalidation delivery
-    // tight against the publishing store (many short parallel rounds),
-    // long ones stretch the stale-sharer window.
+    // tight against the publishing store, long ones stretch the
+    // stale-sharer window.
     cc.coh_delay_ps = static_cast<Tick>(rng.nextRange(20'000, 40'000));
     return cc;
 }
@@ -195,7 +195,7 @@ randomChipConfig(Pcg32 &rng, int cores)
  * small chips: small-N runs are cheap enough to dominate the iteration
  * budget (more machine/workload shapes per suite run) while the tail
  * still lands on big chips — including kMaxCores itself — often
- * enough to keep the wide-mask and many-worker paths exercised.
+ * enough to keep the wide sharer-mask paths exercised.
  */
 inline int
 randomCoreCount(Pcg32 &rng)

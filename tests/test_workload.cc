@@ -294,8 +294,8 @@ TEST(Generator, StreamHashesArePinned)
 
 TEST(Generator, NextBatchMatchesPerOpGeneration)
 {
-    // nextBatch is the in-worker refill path of the chip's front
-    // ends; it must be bit-exact with n successive next() calls for
+    // nextBatch is the fetch refill path of every front end; it
+    // must be bit-exact with n successive next() calls for
     // any batch-boundary placement, including batches spanning a
     // phase switch.
     WorkloadParams wl = findBenchmark("gzip");
