@@ -17,11 +17,11 @@
  * primitives.
  *
  * Arbitration is cross-core only (the port's contract): a core is
- * never delayed behind its own requests, whose bandwidth the private
- * hierarchy already models with mem ports and MSHRs. A single-core
- * chip therefore produces bit-identical timing to the private
- * Processor hierarchy — the N=1 equivalence gate of the differential
- * suite.
+ * never delayed behind its own requests, whose bandwidth its
+ * load/store unit already models with mem ports and MSHRs. A
+ * single-core run (a one-core chip) therefore sees no bank or
+ * fill-slot contention, whatever the banking settings — the N=1
+ * gate of the CMP suite.
  *
  * Accounting: the shared AccountingCache keeps chip-global MRU/tag
  * state (that is what "shared" means), while per-core access/miss/
@@ -51,8 +51,8 @@ class SharedL2
   public:
     struct Params
     {
-        /** Cache geometry (mirrors the private L2 of the same
-         * machine mode, so N=1 stays bit-identical). */
+        /** Cache geometry (per machine mode; see sharedL2Params in
+         * cmp/chip.cc). */
         std::uint64_t size_bytes = 2048 * 1024;
         int ways = 8;
         int a_ways = 8;

@@ -6,19 +6,18 @@
  * reconfiguration, composed around a shared banked L2 behind the
  * cross-core interconnect port.
  *
- * The chip is the multi-core composition root over exactly the
- * pieces the Processor uses for one core: a flat clock array (global
- * domain index = core * kNumDomains + local), one WakeFabric, one
- * DomainScheduler stepping all 4N domains in the reference tie-break
- * order (time, then lowest global index), and per-core EpochBumpPorts
- * (grid epochs are per core — a PLL re-lock stales only the landing
- * core's memoized extrapolations; the shared L2/memory level is
- * analytic in raw picoseconds and grid-free).
+ * The chip is the simulator's one composition root (a single-core
+ * run — simulate(), Processor — is a one-core chip): a flat clock
+ * array (global domain index = core * kNumDomains + local), one
+ * WakeFabric, one DomainScheduler stepping all 4N domains in the
+ * reference tie-break order (time, then lowest global index), and
+ * per-core EpochBumpPorts (grid epochs are per core — a PLL re-lock
+ * stales only the landing core's memoized extrapolations; the shared
+ * L2/memory level is analytic in raw picoseconds and grid-free).
  *
- * With one core the chip routes through the same shared-L2 code but
- * arbitrates nothing (the interconnect is cross-core only), so its
- * RunStats are bit-identical to the standalone Processor — the N=1
- * equivalence gate the differential suite enforces.
+ * The interconnect arbitrates only across cores, so a one-core
+ * chip's RunStats do not depend on the banking, fill-slot or
+ * occupancy settings — the N=1 gate the CMP suite enforces.
  *
  * Multiprogrammed runs give each core its own workload (and its own
  * RNG streams: workload, clocks-jitter and PLL draws are all keyed so
@@ -35,7 +34,6 @@
 #include "cache/shared_l2.hh"
 #include "clock/clock.hh"
 #include "cmp/core.hh"
-#include "core/processor.hh"
 #include "core/scheduler.hh"
 
 namespace gals
@@ -113,10 +111,10 @@ class Chip
     ChipRunStats run();
 
     /** Force a specific scheduler (tests; overrides GALS_KERNEL). */
-    void setKernel(Processor::Kernel k) { kernel_ = k; }
+    void setKernel(Kernel k) { kernel_ = k; }
 
     /** Deep structural invariant checks on every core (see
-     * Processor::setInvariantCheckInterval). */
+     * Core::setInvariantCheckInterval). */
     void setInvariantCheckInterval(std::uint32_t every);
 
     Core &core(int i) { return *cores_[static_cast<size_t>(i)]; }
@@ -133,7 +131,7 @@ class Chip
     std::vector<EpochBumpPort *> epoch_table_;
     DomainScheduler scheduler_;
 
-    Processor::Kernel kernel_;
+    Kernel kernel_;
 };
 
 } // namespace gals

@@ -1,16 +1,16 @@
 /**
  * @file
- * One core of the GALS chip: the per-core composition unit extracted
- * from the original Processor monolith.
+ * One core of the GALS chip: the per-core composition unit.
  *
  * A Core owns the four domain units (front end, integer cluster,
  * floating-point cluster, load/store unit), their typed port set, the
  * per-core clock fabric view (CoreTiming + WakeHub window into the
  * chip's WakeFabric) and the PLL reconfiguration unit. It does *not*
- * own clocks or the step loop: the composition root (Processor for
- * one core, Chip for several) owns the flat clock array, the
- * WakeFabric and the DomainScheduler, and registers each core's
- * domain units and epoch port with them.
+ * own clocks, the step loop or the L2: the composition root (the
+ * Chip, with one core for a single-core run) owns the flat clock
+ * array, the WakeFabric, the DomainScheduler and the shared L2
+ * behind the interconnect port, and registers each core's domain
+ * units and epoch port with them.
  *
  * In a chip, core `c`'s domains occupy global indices
  * [c*kNumDomains, (c+1)*kNumDomains) — core-major, local order
@@ -39,8 +39,8 @@ namespace gals
 
 /** Per-domain clocks for one configured core. `core_index` keys the
  * jitter streams (global domain index), so every core of a chip gets
- * an independent stream while core 0 reproduces the standalone
- * Processor's clocks exactly. */
+ * an independent stream while core 0 reproduces a single-core run's
+ * clocks exactly. */
 std::array<Clock, 4> makeCoreClocks(const MachineConfig &cfg,
                                     int core_index);
 
@@ -54,13 +54,12 @@ class Core
      * @param fabric     the chip-level wake fabric.
      * @param clocks     this core's four clocks (owned by the root,
      *                   contiguous at global base core_index*4).
-     * @param core_index position in the chip (0 for a Processor).
-     * @param icp        the shared-L2 interconnect (chip
-     *                   compositions; null = private hierarchy).
+     * @param core_index position in the chip.
+     * @param icp        the chip's shared-L2 interconnect.
      */
     Core(const MachineConfig &config, const WorkloadParams &wl,
          WakeFabric &fabric, Clock *clocks, int core_index,
-         InterconnectPort *icp = nullptr);
+         InterconnectPort &icp);
 
     // ------------------------------------------------------------------
     // Composition-root wiring.
@@ -74,16 +73,8 @@ class Core
     // ------------------------------------------------------------------
     // Progress, measurement, results.
     // ------------------------------------------------------------------
-    /** Stable reference the scheduler's stop condition polls. */
-    const std::uint64_t &committedRef() const
-    {
-        return fe_.committedRef();
-    }
-    std::uint64_t targetInstrs() const
-    {
-        return wl_params_.warmup_instrs + wl_params_.sim_instrs;
-    }
-    /** The scheduler stop condition for this core's window. */
+    /** The scheduler stop condition for this core's window: the
+     * committed count reaching warmup + measured instructions. */
     CoreProgress progressStop() const;
 
     /** Measured-window statistics (after a run). */
@@ -92,7 +83,12 @@ class Core
     /** Current structure configuration (changes in phase mode). */
     const AdaptiveConfig &currentConfig() const { return cur_cfg_; }
 
-    /** See Processor::setInvariantCheckInterval. */
+    /**
+     * Run deep structural invariant checks (rename map vs free lists,
+     * ROB age order, fetch-group accounting, LSQ index consistency)
+     * every `every` front-end steps; 0 disables (the default). The
+     * differential harness turns this on.
+     */
     void setInvariantCheckInterval(std::uint32_t every);
 
     /** Panics with a description on any violated invariant. */

@@ -2,12 +2,12 @@
  * @file
  * Thread-local recycling arena for the simulator's hot containers.
  *
- * A design-space sweep constructs and destroys hundreds of Processor
- * instances per worker thread, each allocating the same-shaped ROB,
- * LSQ, FIFO, regfile, cache and workload buffers. The arena keeps
- * freed blocks in per-size-class free lists instead of returning them
- * to the system allocator, so from the second run on a thread onward
- * the simulator allocates nothing from the heap.
+ * A design-space sweep constructs and destroys hundreds of single-core
+ * chips per worker thread, each allocating the same-shaped ROB, LSQ,
+ * FIFO, regfile, cache and workload buffers. The arena keeps freed
+ * blocks in per-size-class free lists instead of returning them to
+ * the system allocator, so from the second run on a thread onward
+ * those buffers come from recycled blocks, not the heap.
  *
  * Blocks are bucketed by power-of-two size. Frees may come from a
  * different thread than the matching allocation (each thread simply

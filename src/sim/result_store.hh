@@ -61,7 +61,7 @@ namespace gals
  * them — only warm-cache sweeps would serve outdated rows until the
  * tag moves.
  */
-constexpr const char *kResultStoreVersion = "gals-results-v1:pr8";
+constexpr const char *kResultStoreVersion = "gals-results-v1:pr9";
 
 /** One directory of content-addressed result records. */
 class ResultStore

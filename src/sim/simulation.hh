@@ -2,14 +2,18 @@
  * @file
  * Single-run driver: execute one machine configuration against one
  * synthetic benchmark and return the measured-window statistics.
+ *
+ * A single-core run is a one-core Chip (cmp/chip.hh) with the default
+ * ChipConfig, so it claims the tracer as a 1-core "chip" run and
+ * folds into the chip.* metrics counters like any other chip run.
  */
 
 #ifndef GALS_SIM_SIMULATION_HH
 #define GALS_SIM_SIMULATION_HH
 
 #include "core/machine_config.hh"
-#include "core/processor.hh"
 #include "core/run_stats.hh"
+#include "core/scheduler.hh"
 #include "workload/params.hh"
 
 namespace gals
@@ -28,7 +32,7 @@ RunStats simulate(const MachineConfig &machine,
  */
 RunStats simulateWithKernel(const MachineConfig &machine,
                             const WorkloadParams &workload,
-                            Processor::Kernel kernel,
+                            Kernel kernel,
                             std::uint32_t invariant_interval = 0);
 
 /** Measured window runtime in nanoseconds. */

@@ -305,20 +305,28 @@ TEST_F(ResultStoreTest, StaleCodeVersionTagDegradesToMiss)
     WorkloadParams wl = tinyWorkload();
     std::string key = resultKey(m, wl);
 
-    // A record written by an older simulator version...
-    ResultStore old_version;
-    ASSERT_TRUE(old_version.open(dir_, "gals-results-v0:ancient"));
-    old_version.store(key, "payload from an older simulator");
-    std::string payload;
-    ASSERT_TRUE(old_version.lookup(key, payload));
+    // The previous tag predates the clock-skip landing-edge fix,
+    // which changed simulated timing: its rows must miss too.
+    for (const char *tag :
+         {"gals-results-v0:ancient", "gals-results-v1:pr8"}) {
+        SCOPED_TRACE(tag);
+        const std::string dir = dir_ + "/" + tag;
 
-    // ...is structurally intact but must be rejected by the current
-    // version and transparently recomputed.
-    configureResultStore(dir_);
-    EXPECT_FALSE(resultStore().lookup(key, payload));
-    EXPECT_EQ(resultStore().counters().rejects, 1u);
-    expectSameStats(simulate(m, wl), cachedSimulate(m, wl));
-    EXPECT_TRUE(resultStore().lookup(key, payload));
+        // A record written by an older simulator version...
+        ResultStore old_version;
+        ASSERT_TRUE(old_version.open(dir, tag));
+        old_version.store(key, "payload from an older simulator");
+        std::string payload;
+        ASSERT_TRUE(old_version.lookup(key, payload));
+
+        // ...is structurally intact but must be rejected by the
+        // current version and transparently recomputed.
+        configureResultStore(dir);
+        EXPECT_FALSE(resultStore().lookup(key, payload));
+        EXPECT_EQ(resultStore().counters().rejects, 1u);
+        expectSameStats(simulate(m, wl), cachedSimulate(m, wl));
+        EXPECT_TRUE(resultStore().lookup(key, payload));
+    }
 }
 
 TEST_F(ResultStoreTest, ForeignRecordAtCollidingPathDegradesToMiss)
