@@ -1,12 +1,17 @@
 #include "sim/result_store.hh"
 
-#include <cstdarg>
-#include <cstdio>
+#include <bit>
+#include <cerrno>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
+#include <fcntl.h>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <mutex>
-#include <sstream>
+#include <string_view>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/logging.hh"
@@ -47,6 +52,23 @@ fnv1a(const void *data, std::size_t n, std::uint64_t h)
 
 constexpr std::uint32_t kMagic = 0x31535247; // "GRS1" little-endian.
 
+/** Largest file lookup reads: far above any real record (a 16-core
+ * chip row is tens of KiB), so anything bigger is junk to reject, not
+ * a size to allocate. */
+constexpr off_t kMaxRecordBytes = off_t{64} << 20;
+
+constexpr char kHexDigits[] = "0123456789abcdef";
+
+/** `v` as 16 lower-case hex digits (the "%016llx" of the record name). */
+void
+appendHex64(std::string &out, std::uint64_t v)
+{
+    char buf[16];
+    for (int i = 15; i >= 0; --i, v >>= 4)
+        buf[i] = kHexDigits[v & 0xf];
+    out.append(buf, sizeof(buf));
+}
+
 // ----------------------------------------------------------------------
 // Byte stream helpers (explicit little-endian, bounds-checked reads).
 // ----------------------------------------------------------------------
@@ -75,7 +97,7 @@ putString(std::string &out, const std::string &s)
  * the stream is exhausted or malformed. */
 struct ByteReader
 {
-    const std::string &buf;
+    std::string_view buf;
     std::size_t off = 0;
 
     bool
@@ -108,14 +130,25 @@ struct ByteReader
         return true;
     }
 
+    /** A length-prefixed string, viewed in place. */
     bool
-    getString(std::string &s)
+    getView(std::string_view &s)
     {
         std::uint32_t n = 0;
         if (!getU32(n) || off + n > buf.size())
             return false;
-        s.assign(buf, off, n);
+        s = buf.substr(off, n);
         off += n;
+        return true;
+    }
+
+    bool
+    getString(std::string &s)
+    {
+        std::string_view v;
+        if (!getView(v))
+            return false;
+        s.assign(v);
         return true;
     }
 
@@ -128,52 +161,92 @@ struct ByteReader
 // is stored verbatim in each record, so it doubles as the collision
 // check and as a human-readable record of what the row is.
 //
-// Rendered with snprintf into stack buffers appended in place: a key
-// is ~30 fields per machine plus ~30 per workload phase, and the
-// csprintf-temporary-per-field version dominated the warm-hit path
-// of cached sweeps (the key is rebuilt on every probe, hit or miss).
+// The key is rebuilt on every probe, hit or miss, so its rendering is
+// paid once per point of a warm sweep: a key is ~30 fields per machine
+// plus ~30 per workload phase. Fields render into a stack buffer,
+// never through the printf machinery: integers with std::to_chars,
+// doubles by hand from their bits in exactly glibc's %a form, the
+// form every stored key was written in. std::to_chars' hex form is
+// not used for doubles because its subnormals differ between
+// libstdc++ releases ("1p-1074" in one, "0.0000000000001p-1022" in
+// another), and a key must not depend on the library it links.
 // ----------------------------------------------------------------------
-void
-keyValue(std::string &out, const char *name, const char *fmt, ...)
+/** Writes `v` at `p` as glibc's printf("%a") does and returns the
+ * end: [-]0x1[.hex]p±exp for normals, [-]0x0.hexp-1022 for
+ * subnormals, [-]0x0p+0, [-]inf, [-]nan. Fraction digits stop at the
+ * last nonzero one. At most 24 chars ("-0x1.fffffffffffffp+1023"). */
+char *
+renderHexfloat(char *p, double v)
 {
-    char buf[48];
-    va_list args;
-    va_start(args, fmt);
-    int n = std::vsnprintf(buf, sizeof(buf), fmt, args);
-    va_end(args);
-    GALS_ASSERT(n > 0 && n < static_cast<int>(sizeof(buf)),
-                "result-store key field overflow");
-    out += name;
-    out += '=';
-    out.append(buf, static_cast<std::size_t>(n));
-    out += ';';
+    constexpr std::uint64_t kFracMask = (std::uint64_t{1} << 52) - 1;
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    const int biased = static_cast<int>((bits >> 52) & 0x7ff);
+    std::uint64_t frac = bits & kFracMask;
+    if (bits >> 63)
+        *p++ = '-';
+    if (biased == 0x7ff) {
+        std::memcpy(p, frac != 0 ? "nan" : "inf", 3);
+        return p + 3;
+    }
+    const int exp = biased != 0 ? biased - 1023 : frac != 0 ? -1022 : 0;
+    *p++ = '0';
+    *p++ = 'x';
+    *p++ = biased != 0 ? '1' : '0';
+    if (frac != 0) {
+        *p++ = '.';
+        for (; frac != 0; frac = (frac << 4) & kFracMask)
+            *p++ = kHexDigits[frac >> 48];
+    }
+    *p++ = 'p';
+    *p++ = exp < 0 ? '-' : '+';
+    return std::to_chars(p, p + 4, exp < 0 ? -exp : exp).ptr;
+}
+
+/** Appends "name=value;" in one piece: `render` writes the value at
+ * the pointer it is given and returns the end. Names are short
+ * literals and values at most 24 chars, so 64 bytes always fit. */
+template <typename Render>
+void
+keyField(std::string &out, const char *name, Render render)
+{
+    char buf[64];
+    const std::size_t n = std::strlen(name);
+    std::memcpy(buf, name, n);
+    buf[n] = '=';
+    char *end = render(buf + n + 1);
+    *end++ = ';';
+    out.append(buf, end);
 }
 
 void
 keyInt(std::string &out, const char *name, long long v)
 {
-    keyValue(out, name, "%lld", v);
+    keyField(out, name,
+             [v](char *p) { return std::to_chars(p, p + 24, v).ptr; });
 }
 
 void
 keyU64(std::string &out, const char *name, std::uint64_t v)
 {
-    keyValue(out, name, "%llu", static_cast<unsigned long long>(v));
+    keyField(out, name,
+             [v](char *p) { return std::to_chars(p, p + 24, v).ptr; });
 }
 
 void
 keyDouble(std::string &out, const char *name, double v)
 {
-    keyValue(out, name, "%a", v);
+    keyField(out, name, [v](char *p) { return renderHexfloat(p, v); });
 }
 
 void
 keyString(std::string &out, const char *name, const std::string &v)
 {
     char buf[24];
-    int n = std::snprintf(buf, sizeof(buf), "=%zu:", v.size());
+    char *end = std::to_chars(buf, buf + sizeof(buf), v.size()).ptr;
     out += name;
-    out.append(buf, static_cast<std::size_t>(n));
+    out += '=';
+    out.append(buf, end);
+    out += ':';
     out += v;
     out += ';';
 }
@@ -495,13 +568,23 @@ ResultStore::close()
 std::string
 ResultStore::recordPath(const std::string &key) const
 {
-    std::string name =
-        csprintf("%016llx%016llx.grs",
-                 static_cast<unsigned long long>(
-                     fnv1a(key.data(), key.size(), kFnvBasisA)),
-                 static_cast<unsigned long long>(
-                     fnv1a(key.data(), key.size(), kFnvBasisB)));
-    return (fs::path(dir_) / name).string();
+    // Both FNV-1a streams in one pass: two independent multiply chains
+    // per byte instead of two passes of one.
+    std::uint64_t a = kFnvBasisA;
+    std::uint64_t b = kFnvBasisB;
+    for (unsigned char c : key) {
+        a = (a ^ c) * kFnvPrime;
+        b = (b ^ c) * kFnvPrime;
+    }
+    std::string path;
+    path.reserve(dir_.size() + 37);
+    path = dir_;
+    if (!path.empty() && path.back() != '/')
+        path += '/';
+    appendHex64(path, a);
+    appendHex64(path, b);
+    path += ".grs";
+    return path;
 }
 
 bool
@@ -510,63 +593,69 @@ ResultStore::lookup(const std::string &key, std::string &payload) const
     if (!enabled())
         return false;
 
-    // One sized read straight into the buffer: the stream-insertion
-    // idiom (rdbuf into an ostringstream, then str()) copied every
-    // record twice through chunked virtual calls, which dominated
-    // the warm-sweep hit path.
-    std::string bytes;
-    {
-        std::ifstream in(recordPath(key),
-                         std::ios::binary | std::ios::ate);
-        if (!in) {
-            misses_.fetch_add(1, std::memory_order_relaxed);
-            return false;
-        }
-        std::streamoff size = in.tellg();
-        if (size < 0) {
-            misses_.fetch_add(1, std::memory_order_relaxed);
-            return false;
-        }
-        bytes.resize(static_cast<std::size_t>(size));
-        in.seekg(0);
-        in.read(bytes.data(),
-                static_cast<std::streamsize>(bytes.size()));
-        if (!in) {
-            misses_.fetch_add(1, std::memory_order_relaxed);
-            return false;
-        }
-    }
-
-    // Validate everything; any failure is a reject (recompute, never
-    // trust). The checksum covers every byte before it, so a
-    // truncated or bit-flipped record cannot pass.
-    auto reject = [&] {
-        rejects_.fetch_add(1, std::memory_order_relaxed);
+    auto miss = [&] {
         misses_.fetch_add(1, std::memory_order_relaxed);
         return false;
     };
+    auto reject = [&] {
+        rejects_.fetch_add(1, std::memory_order_relaxed);
+        return miss();
+    };
+
+    // One open/fstat/read. O_NONBLOCK keeps a FIFO at the record path
+    // from blocking the open; anything but a regular file of sane size
+    // is a reject, never a size to allocate or a stream to wait on.
+    const int fd = ::open(recordPath(key).c_str(),
+                          O_RDONLY | O_CLOEXEC | O_NONBLOCK);
+    if (fd < 0)
+        return miss();
+    struct stat st;
+    if (::fstat(fd, &st) != 0) {
+        ::close(fd);
+        return miss();
+    }
+    if (!S_ISREG(st.st_mode) || st.st_size > kMaxRecordBytes) {
+        ::close(fd);
+        return reject();
+    }
+    const auto size = static_cast<std::size_t>(st.st_size);
+    auto buf = std::make_unique_for_overwrite<char[]>(size);
+    std::size_t got = 0;
+    while (got < size) {
+        ssize_t n = ::read(fd, buf.get() + got, size - got);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            break;
+        got += static_cast<std::size_t>(n);
+    }
+    ::close(fd);
+    if (got != size)
+        return miss();
+
+    // Validate everything in place; any failure is a reject
+    // (recompute, never trust). The checksum covers every byte before
+    // it, so a truncated or bit-flipped record cannot pass.
+    const std::string_view bytes(buf.get(), size);
     if (bytes.size() < 8)
         return reject();
     std::uint64_t want = 0;
-    {
-        ByteReader tail{bytes};
-        tail.off = bytes.size() - 8;
-        tail.getU64(want);
-    }
+    ByteReader{bytes, bytes.size() - 8}.getU64(want);
     if (fnv1a(bytes.data(), bytes.size() - 8, kFnvBasisA) != want)
         return reject();
 
     ByteReader r{bytes};
     std::uint32_t magic = 0;
-    std::string tag, stored_key;
-    if (!r.getU32(magic) || magic != kMagic || !r.getString(tag) ||
-        !r.getString(stored_key) || !r.getString(payload) ||
+    std::string_view tag, stored_key, body;
+    if (!r.getU32(magic) || magic != kMagic || !r.getView(tag) ||
+        !r.getView(stored_key) || !r.getView(body) ||
         r.off + 8 != bytes.size()) {
         return reject();
     }
     if (tag != tag_ || stored_key != key)
         return reject(); // stale code version or hash collision.
 
+    payload.assign(body);
     hits_.fetch_add(1, std::memory_order_relaxed);
     return true;
 }

@@ -89,8 +89,9 @@ class ResultStore
     /**
      * Fetch the payload recorded for `key`. Returns false — a miss —
      * when the store is disabled, no record exists, or the record
-     * fails any validation (magic, checksum, version tag, full key
-     * comparison against hash collisions).
+     * fails any validation (regular file of at most 64 MiB, magic,
+     * checksum, version tag, full key comparison against hash
+     * collisions).
      */
     bool lookup(const std::string &key, std::string &payload) const;
 

@@ -2,22 +2,30 @@
  * @file
  * Content-addressed result store tests (sim/result_store.hh). The
  * contract under test is "recompute, never trust": truncated,
- * bit-flipped, stale-version and hash-colliding records all degrade
- * to misses with correct recomputed results; writes are atomic under
- * concurrent writers (threads and separate processes); and a
- * warm-cache sweep rerun is byte-identical to the cache-off run
- * while being several times faster — the property the whole store
- * exists for.
+ * bit-flipped, stale-version and hash-colliding records, and
+ * non-regular or oversized files at a record path, all degrade to
+ * misses with correct recomputed results; keys, record names and
+ * record bytes are pinned, so stores already on disk stay warm;
+ * writes are atomic under concurrent writers (threads and separate
+ * processes); and a warm-cache sweep rerun is byte-identical to the
+ * cache-off run while being several times faster — the property the
+ * whole store exists for.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cfloat>
 #include <chrono>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <random>
 #include <thread>
 
 #include "harness.hh"
@@ -88,6 +96,47 @@ writeBytes(const std::string &path, const std::string &bytes)
               static_cast<std::streamsize>(bytes.size()));
 }
 
+/** FNV-1a over `s` from basis `h` (the store's record-name and
+ * checksum hash, docs/kernel.md "Result store"), restated here so the
+ * pins below do not trust the code under test. */
+std::uint64_t
+fnv1a(const std::string &s, std::uint64_t h)
+{
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/** The standard FNV-1a basis: the checksum and the name's first half. */
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+/** The salted basis of the name's second half. */
+constexpr std::uint64_t kFnvSecondBasis = 0x9ae16a3b2f90404fULL;
+
+/** The 32-hex-digit record name of `key`: both FNV-1a halves. */
+std::string
+nameHash(const std::string &key)
+{
+    char buf[33];
+    std::snprintf(buf, sizeof(buf), "%016llx%016llx",
+                  static_cast<unsigned long long>(
+                      fnv1a(key, kFnvBasis)),
+                  static_cast<unsigned long long>(
+                      fnv1a(key, kFnvSecondBasis)));
+    return buf;
+}
+
+/** `v` as `bytes` little-endian bytes. */
+std::string
+le(std::uint64_t v, int bytes)
+{
+    std::string out;
+    for (int i = 0; i < bytes; ++i)
+        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    return out;
+}
+
 } // namespace
 
 TEST_F(ResultStoreTest, KeyIsStableAndFieldSensitive)
@@ -144,6 +193,114 @@ TEST_F(ResultStoreTest, KeyIsStableAndFieldSensitive)
         t[1].seed += 1;
         EXPECT_NE(chip, resultKey(cc, t));
     }
+}
+
+TEST_F(ResultStoreTest, KeyBytesArePinned)
+{
+    // The key text names every record on disk, so any change to its
+    // bytes strands every existing store (all misses, no error).
+    // Pinned: the length and record name of the key for the three
+    // paper machines on a two-phase benchmark and for a 4-core chip.
+    // These move only when a key field is added or a suite or preset
+    // value changes; re-pin then.
+    configureResultStore(dir_);
+    const WorkloadParams wl = findBenchmark("apsi");
+    ASSERT_EQ(wl.phases.size(), 2u);
+    auto expectPinned = [](const std::string &key, size_t len,
+                           const char *name) {
+        EXPECT_EQ(key.size(), len);
+        EXPECT_EQ(nameHash(key), name);
+        EXPECT_EQ(fs::path(resultStore().recordPath(key)).filename(),
+                  std::string(name) + ".grs");
+    };
+    expectPinned(resultKey(MachineConfig::bestSynchronous(), wl), 1212,
+                 "97f50de7338227164e97bdd6fd99ed4c");
+    expectPinned(resultKey(MachineConfig::mcdProgram({}), wl), 1212,
+                 "3b9545348605e9d599d19059c08ad3cb");
+    expectPinned(resultKey(MachineConfig::mcdPhaseAdaptive(), wl), 1212,
+                 "3543ed8c21cabbca051adbfb3c516728");
+
+    ChipConfig cc;
+    cc.machine = MachineConfig::mcdProgram({1, 2, 3, 0});
+    cc.cores = 4;
+    std::vector<WorkloadParams> mix;
+    for (int c = 0; c < cc.cores; ++c)
+        mix.push_back(perCoreWorkload(wl, c));
+    expectPinned(resultKey(cc, mix), 3831,
+                 "70e94e07c715e6e04edcca912e0fa9de");
+}
+
+TEST_F(ResultStoreTest, KeyRendersDoublesAsPrintfHexfloat)
+{
+    // Doubles render in %a hexfloat: exact, and the format every
+    // stored key was written in. Random bit patterns (normals,
+    // subnormals, NaN payloads) plus the edge values must all render
+    // byte-equal to snprintf("%a").
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+    std::vector<double> values = {0.0,     -0.0,          DBL_MIN,
+                                  -DBL_MIN, DBL_TRUE_MIN, -DBL_TRUE_MIN,
+                                  DBL_MIN / 3, DBL_MAX,   -DBL_MAX,
+                                  kInf,    -kInf,         kNan,
+                                  -kNan,   1.0,           -1.5,
+                                  0.1};
+    std::mt19937_64 rng(2004);
+    for (int i = 0; i < 20'000; ++i) {
+        std::uint64_t bits = rng();
+        if (i % 4 == 0)
+            bits &= 0x800fffffffffffffULL; // zero exponent: subnormal.
+        double v;
+        std::memcpy(&v, &bits, sizeof(v));
+        values.push_back(v);
+    }
+
+    MachineConfig m = MachineConfig::bestSynchronous();
+    const WorkloadParams wl = tinyWorkload();
+    for (double v : values) {
+        char buf[48];
+        std::snprintf(buf, sizeof(buf), "%a", v);
+        m.jitter_sigma_ps = v;
+        ASSERT_NE(resultKey(m, wl).find(std::string(";jit=") + buf + ";"),
+                  std::string::npos)
+            << buf;
+    }
+}
+
+TEST_F(ResultStoreTest, HandBuiltRecordFromDocumentedLayoutHits)
+{
+    // A record assembled from the layout in docs/kernel.md stands for
+    // every store written so far: lookup must serve it, and store()
+    // must write exactly those bytes under the pinned name.
+    configureResultStore(dir_);
+    MachineConfig m = MachineConfig::bestSynchronous();
+    WorkloadParams wl = tinyWorkload();
+    const RunStats live = simulate(m, wl);
+    const std::string key = resultKey(m, wl);
+    const std::string payload = serializeRunStats(live);
+    const std::string tag = kResultStoreVersion;
+
+    std::string record = "GRS1";
+    record += le(tag.size(), 4) + tag;
+    record += le(key.size(), 4) + key;
+    record += le(payload.size(), 4) + payload;
+    record += le(fnv1a(record, kFnvBasis), 8);
+    writeBytes(resultStore().recordPath(key), record);
+
+    std::string got;
+    ASSERT_TRUE(resultStore().lookup(key, got));
+    EXPECT_EQ(got, payload);
+    expectSameStats(live, cachedSimulate(m, wl));
+    ResultStore::Counters c = resultStore().counters();
+    EXPECT_EQ(c.hits, 2u);
+    EXPECT_EQ(c.misses, 0u);
+
+    ResultStore writer;
+    ASSERT_TRUE(writer.open(dir_ + "/written"));
+    writer.store(key, payload);
+    EXPECT_EQ(fileBytes(writer.recordPath(key)), record);
+
+    EXPECT_EQ(fs::path(resultStore().recordPath("key-A")).filename(),
+              "71134af295f2637683e21c463b932560.grs");
 }
 
 TEST_F(ResultStoreTest, RunStatsSerializationRoundTripsExactly)
@@ -297,6 +454,54 @@ TEST_F(ResultStoreTest, FlippedByteDegradesToMiss)
         EXPECT_FALSE(resultStore().lookup(key, payload));
         expectSameStats(live, cachedSimulate(m, wl));
     }
+}
+
+TEST_F(ResultStoreTest, NonRegularOrOversizedRecordDegradesToMiss)
+{
+    // Whatever sits at a record path, lookup must count a reject and a
+    // miss and the sweep must recompute: a directory (whose size
+    // would otherwise become an allocation), a FIFO without a writer
+    // (which must not block the reader) and a file above the record
+    // size cap.
+    configureResultStore(dir_);
+    MachineConfig m = MachineConfig::bestSynchronous();
+    WorkloadParams wl = tinyWorkload();
+    const RunStats live = simulate(m, wl);
+    const std::string key = resultKey(m, wl);
+    const std::string path = resultStore().recordPath(key);
+    std::string payload;
+
+    // The recompute cannot publish over a directory; that failure is
+    // logged and ignored.
+    ASSERT_TRUE(fs::create_directories(path));
+    EXPECT_FALSE(resultStore().lookup(key, payload));
+    expectSameStats(live, cachedSimulate(m, wl));
+    ResultStore::Counters c = resultStore().counters();
+    EXPECT_EQ(c.hits, 0u);
+    EXPECT_EQ(c.misses, 2u);
+    EXPECT_EQ(c.rejects, 2u);
+    EXPECT_EQ(c.stores, 0u);
+    fs::remove(path);
+
+    // The recompute's record replaces the FIFO.
+    ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+    EXPECT_FALSE(resultStore().lookup(key, payload));
+    expectSameStats(live, cachedSimulate(m, wl));
+    c = resultStore().counters();
+    EXPECT_EQ(c.misses, 4u);
+    EXPECT_EQ(c.rejects, 4u);
+    EXPECT_EQ(c.stores, 1u);
+    EXPECT_TRUE(resultStore().lookup(key, payload));
+
+    // A sparse file just above the 64 MiB cap.
+    fs::resize_file(path, (std::uintmax_t{64} << 20) + 1);
+    EXPECT_FALSE(resultStore().lookup(key, payload));
+    expectSameStats(live, cachedSimulate(m, wl));
+    c = resultStore().counters();
+    EXPECT_EQ(c.misses, 6u);
+    EXPECT_EQ(c.rejects, 6u);
+    EXPECT_EQ(c.stores, 2u);
+    EXPECT_TRUE(resultStore().lookup(key, payload));
 }
 
 TEST_F(ResultStoreTest, StaleCodeVersionTagDegradesToMiss)
