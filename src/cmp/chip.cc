@@ -195,6 +195,17 @@ Chip::run()
     m.add("chip.l2.fill_merges", out.fill_merges);
     m.add("chip.coh.invalidations", out.invalidations);
     m.add("chip.coh.ownership_transfers", out.ownership_transfers);
+    // Kernel efficiency (host-side: how the scheduler spent its
+    // iterations). Kept out of ChipRunStats so results and stored
+    // payloads do not depend on the kernel.
+    const SchedCounters &k = scheduler_.counters();
+    static constexpr const char *kStepNames[kNumDomains] = {
+        "chip.sched.steps.fe", "chip.sched.steps.int",
+        "chip.sched.steps.fp", "chip.sched.steps.ls"};
+    for (int d = 0; d < kNumDomains; ++d)
+        m.add(kStepNames[d], k.steps[static_cast<size_t>(d)]);
+    m.add("chip.sched.idle_skips", k.idle_skips);
+    m.add("chip.sched.iterations", k.iterations);
     return out;
 }
 

@@ -80,6 +80,15 @@ class Core
     /** Measured-window statistics (after a run). */
     RunStats collectStats();
 
+    /** Issue-queue resizes (int + FP) that shrank a queue below its
+     * occupancy. */
+    std::uint64_t
+    iqShrinksBelowOccupancy() const
+    {
+        return int_cluster_.shrinksBelowOccupancy() +
+               fp_cluster_.shrinksBelowOccupancy();
+    }
+
     /** Current structure configuration (changes in phase mode). */
     const AdaptiveConfig &currentConfig() const { return cur_cfg_; }
 

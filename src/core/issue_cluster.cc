@@ -180,7 +180,12 @@ IssueCluster::wakeBound() const
             return 0;
         w = std::min(w, iq_.minTimed());
     }
-    if (!disp_->empty())
+    // A full queue cannot take the FIFO front, and only this domain's
+    // own issue frees a slot. The step that frees it re-derives this
+    // bound, so the FIFO wake lands on the next edge — where the
+    // reference kernel first consumes the front. A pending resize is
+    // covered by clampBound, an epoch bump by its port.
+    if (!disp_->empty() && !iq_.full())
         w = std::min(w, disp_->frontVisibleAt());
     return w;
 }

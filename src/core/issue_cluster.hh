@@ -52,7 +52,20 @@ class IssueCluster final : public Domain
 
     /** Resize the issue queue (ReconfigUnit). Occupancy above a
      * smaller capacity drains naturally. */
-    void setIqCapacity(int entries) { iq_.setCapacity(entries); }
+    void
+    setIqCapacity(int entries)
+    {
+        if (iq_.size() > static_cast<size_t>(entries))
+            ++shrinks_below_occupancy_;
+        iq_.setCapacity(entries);
+    }
+
+    /** Resizes that left the queue over capacity (full() while
+     * size() > capacity(); the differential tests require some). */
+    std::uint64_t shrinksBelowOccupancy() const
+    {
+        return shrinks_below_occupancy_;
+    }
 
     IssueQueue &iq() { return iq_; }
     const IssueQueue &iq() const { return iq_; }
@@ -73,6 +86,7 @@ class IssueCluster final : public Domain
      * step (the one O(queue) path left in the back end).
      */
     std::uint32_t iq_epoch_ = 1;
+    std::uint64_t shrinks_below_occupancy_ = 0;
 
     QueueController qctl_;
     Damper damper_;

@@ -51,6 +51,16 @@ constexpr int kMaxCores = 16;
  * (a core uses four; a chip uses four per core). */
 constexpr int kMaxSchedDomains = kMaxCores * kNumDomains;
 
+/** Low bits of a calendar word that hold the global domain index. */
+constexpr int kCalIndexBits = 6;
+static_assert(kMaxSchedDomains <= (1 << kCalIndexBits),
+              "calendar word index field too narrow for "
+              "kMaxSchedDomains");
+
+/** Largest tick a calendar word can hold (2^58 - 1 ps, ~80 simulated
+ * hours); later keys saturate to it, and it means "parked". */
+constexpr Tick kCalTickMax = (Tick{1} << (64 - kCalIndexBits)) - 1;
+
 /** Per-core in-flight fill (MSHR) ceiling assumed by the
  * interconnect request's fill-slot scan (its stack sizing) — a bound
  * on the private hierarchy's MSHR count, not on the shared banks'. */
@@ -60,11 +70,15 @@ constexpr int kMaxCoreMshrs = 16;
  * Chip-level wake storage shared by every port of every core:
  * per-domain earliest-possible-work bounds (indexed by *global*
  * domain index, `core * kNumDomains + local`) plus the event-kernel
- * calendar keys the scheduler picks its next domain from. Only ports
+ * calendar the scheduler picks its next domain from. Only ports
  * write wake state — through a per-core WakeHub window whose raw
  * primitive forwards here — and the scheduler reads and re-keys it
  * between steps. A one-core chip's fabric holds four domains, so its
  * core's window is the identity mapping.
+ *
+ * The calendar holds one word per domain, `(key tick << 6) | global
+ * index`, so the stepping order (time, then lowest index) is plain
+ * unsigned order and head() is a branch-free minimum.
  */
 class WakeFabric
 {
@@ -75,7 +89,10 @@ class WakeFabric
         GALS_ASSERT(count >= 1 && count <= kMaxSchedDomains,
                     "WakeFabric domain count out of range");
         wake_.fill(0);
-        key_.fill(kTickMax);
+        // Unused lanes (head() scans whole groups of four) never win.
+        cal_.fill(~std::uint64_t{0});
+        for (int d = 0; d < count_; ++d)
+            park(d);
     }
 
     int domainCount() const { return count_; }
@@ -91,8 +108,7 @@ class WakeFabric
     {
         for (int d = 0; d < count_; ++d) {
             wake_[static_cast<size_t>(d)] = 0;
-            key_[static_cast<size_t>(d)] =
-                clocks_[static_cast<size_t>(d)].nextEdge();
+            setKey(d, clocks_[static_cast<size_t>(d)].nextEdge());
         }
     }
 
@@ -100,30 +116,51 @@ class WakeFabric
     // wake path updates it without an extra indirection).
     Tick bound(int d) const { return wake_[static_cast<size_t>(d)]; }
     void setBound(int d, Tick t) { wake_[static_cast<size_t>(d)] = t; }
-    Tick key(int d) const { return key_[static_cast<size_t>(d)]; }
-    void setKey(int d, Tick k) { key_[static_cast<size_t>(d)] = k; }
-    void park(int d) { key_[static_cast<size_t>(d)] = kTickMax; }
+    /** Calendar key of domain d (kTickMax when parked). */
+    Tick
+    key(int d) const
+    {
+        Tick t = cal_[static_cast<size_t>(d)] >> kCalIndexBits;
+        return t == kCalTickMax ? kTickMax : t;
+    }
+    /** Key domain d at tick k (kTickMax, or anything from
+     * kCalTickMax up, parks it). */
+    void
+    setKey(int d, Tick k)
+    {
+        cal_[static_cast<size_t>(d)] = word(d, k);
+    }
+    void park(int d) { setKey(d, kTickMax); }
 
     /** Earliest-keyed domain (lowest global index on ties, matching
-     * the reference kernel's scan order exactly). */
+     * the reference kernel's scan order exactly): a minimum over
+     * four independent lanes. */
     int
     head() const
     {
-        int best = 0;
-        Tick best_key = key_[0];
-        for (int d = 1; d < count_; ++d) {
-            Tick k = key_[static_cast<size_t>(d)];
-            if (k < best_key) {
-                best_key = k;
-                best = d;
-            }
+        std::uint64_t m0 = cal_[0], m1 = cal_[1], m2 = cal_[2],
+                      m3 = cal_[3];
+        for (size_t d = 4; d < static_cast<size_t>(count_); d += 4) {
+            m0 = std::min(m0, cal_[d]);
+            m1 = std::min(m1, cal_[d + 1]);
+            m2 = std::min(m2, cal_[d + 2]);
+            m3 = std::min(m3, cal_[d + 3]);
         }
-        return best;
+        std::uint64_t m = std::min(std::min(m0, m1), std::min(m2, m3));
+        return static_cast<int>(m & ((1u << kCalIndexBits) - 1));
     }
 
   private:
     friend class WakeHub;
     friend class InterconnectPort; // cross-core coherence wakes.
+
+    /** Calendar word of domain d keyed at tick t (saturating). */
+    static std::uint64_t
+    word(int d, Tick t)
+    {
+        return (std::min(t, kCalTickMax) << kCalIndexBits) |
+               static_cast<std::uint64_t>(d);
+    }
 
     /**
      * Record that global domain `gd` may have work at `t`. Lazy key:
@@ -143,13 +180,13 @@ class WakeFabric
         wake_[i] = t;
         if (!event_mode_)
             return;
-        Tick key = std::max(clocks_[i].nextEdge(), t);
-        if (key < key_[i])
-            key_[i] = key;
+        std::uint64_t w = word(gd, std::max(clocks_[i].nextEdge(), t));
+        if (w < cal_[i])
+            cal_[i] = w;
     }
 
     std::array<Tick, kMaxSchedDomains> wake_{};
-    std::array<Tick, kMaxSchedDomains> key_{};
+    std::array<std::uint64_t, kMaxSchedDomains> cal_{};
     const Clock *clocks_;
     int count_;
     bool event_mode_ = true;

@@ -98,6 +98,7 @@ DomainScheduler::runReference(const CoreProgress *cores, int ncores)
             ++active;
     }
 
+    SchedCounters n;
     std::uint64_t steps = 0;
     std::uint64_t last_progress = totalProgress(cores, ncores);
     while (active > 0) {
@@ -118,6 +119,7 @@ DomainScheduler::runReference(const CoreProgress *cores, int ncores)
         }
         domains_[d]->step(best);
         advanceClock(d);
+        ++n.steps[static_cast<unsigned>(d) % kNumDomains];
 
         int c = d / kNumDomains;
         if (*cores[c].progress >= cores[c].target) {
@@ -136,6 +138,10 @@ DomainScheduler::runReference(const CoreProgress *cores, int ncores)
             last_progress = progress;
         }
     }
+    // Every reference iteration is a step; nothing is skipped.
+    for (std::uint64_t s : n.steps)
+        n.iterations += s;
+    counters_ = n;
 }
 
 void
@@ -162,9 +168,11 @@ DomainScheduler::runEvent(const CoreProgress *cores, int ncores)
         }
     }
 
+    SchedCounters n;
     std::uint64_t steps = 0;
     std::uint64_t last_progress = totalProgress(cores, ncores);
     while (active > 0) {
+        ++n.iterations;
         int d = fabric_.head();
         size_t di = static_cast<size_t>(d);
         GALS_ASSERT(fabric_.key(d) != kTickMax,
@@ -193,6 +201,7 @@ DomainScheduler::runEvent(const CoreProgress *cores, int ncores)
             Tick ne = clocks_[di].nextEdge();
             if (ne != edge) {
                 fabric_.setKey(d, ne);
+                ++n.idle_skips;
                 continue;
             }
         }
@@ -200,16 +209,15 @@ DomainScheduler::runEvent(const CoreProgress *cores, int ncores)
             obs::Tracer::instance().domainStep(d, edge,
                                                clocks_[di].period());
         Tick raw = domains_[d]->step(edge);
+        ++n.steps[static_cast<unsigned>(d) % kNumDomains];
         // The step's bound extrapolated the pre-advance grid; if this
         // domain's own period change lands on the consumed edge, every
         // such memo is stale — re-derive at the next edge (waking
         // early is a wasted no-op step, never a divergence).
         Tick w = advanceClock(d) ? 0 : domains_[d]->clampBound(raw);
         fabric_.setBound(d, w);
-        if (w == kTickMax)
-            fabric_.park(d);
-        else
-            fabric_.setKey(d, std::max(clocks_[di].nextEdge(), w));
+        // A kTickMax bound parks the domain (the key saturates).
+        fabric_.setKey(d, std::max(clocks_[di].nextEdge(), w));
 
         int c = d / kNumDomains;
         if (!done[static_cast<size_t>(c)] &&
@@ -236,6 +244,7 @@ DomainScheduler::runEvent(const CoreProgress *cores, int ncores)
             last_progress = progress;
         }
     }
+    counters_ = n;
 }
 
 } // namespace gals

@@ -31,6 +31,7 @@
 #ifndef GALS_CORE_SCHEDULER_HH
 #define GALS_CORE_SCHEDULER_HH
 
+#include <array>
 #include <cstdint>
 
 #include "clock/clock.hh"
@@ -64,6 +65,22 @@ struct CoreProgress
     std::uint64_t target;
 };
 
+/**
+ * Kernel-efficiency counters of one run (docs/observability.md):
+ * purely observational, never read back by the simulation.
+ */
+struct SchedCounters
+{
+    /** Domain steps, by core-local domain (FrontEnd .. LoadStore),
+     * summed over every core. */
+    std::array<std::uint64_t, kNumDomains> steps{};
+    /** Calendar heads consumed as a bulk proven-idle edge skip
+     * instead of a step (event kernel only). */
+    std::uint64_t idle_skips = 0;
+    /** Scheduler loop iterations (steps, skips and re-parks). */
+    std::uint64_t iterations = 0;
+};
+
 /** Steps a set of domain units in reference-equivalent order. */
 class DomainScheduler
 {
@@ -90,6 +107,9 @@ class DomainScheduler
     /** Reference kernel: step every active domain at every edge. */
     void runReference(const CoreProgress *cores, int ncores);
 
+    /** Counters of the last runEvent/runReference call. */
+    const SchedCounters &counters() const { return counters_; }
+
   private:
     /** advance() + epoch-bump broadcast when a period change lands;
      * returns true when a change landed on the consumed edge. */
@@ -102,6 +122,7 @@ class DomainScheduler
     int count_;
     WakeFabric &fabric_;
     EpochBumpPort *const *epochs_;
+    SchedCounters counters_;
 };
 
 } // namespace gals

@@ -7,7 +7,8 @@
  * paper table is a deterministic function of RunStats, so "close" is
  * a bug. This header provides the pieces the test suite composes:
  *
- *  - expectSameStats: field-by-field RunStats equality;
+ *  - expectSameStats / expectSameChipStats: field-by-field RunStats
+ *    and ChipRunStats equality;
  *  - goldenMachine / goldenWorkload: the pinned golden-row setups;
  *  - randomMachine / randomWorkload: a seeded generator over the
  *    MachineConfig × workload × jitter space, biased toward the hard
@@ -58,6 +59,26 @@ expectSameStats(const RunStats &a, const RunStats &b)
     EXPECT_EQ(a.dcache_residency, b.dcache_residency);
     EXPECT_EQ(a.iq_int_residency, b.iq_int_residency);
     EXPECT_EQ(a.iq_fp_residency, b.iq_fp_residency);
+}
+
+/** Field-by-field equality of two chip runs (per-core + totals). */
+inline void
+expectSameChipStats(const ChipRunStats &a, const ChipRunStats &b)
+{
+    ASSERT_EQ(a.cores.size(), b.cores.size());
+    for (size_t c = 0; c < a.cores.size(); ++c) {
+        SCOPED_TRACE("core " + std::to_string(c));
+        expectSameStats(a.cores[c], b.cores[c]);
+    }
+    EXPECT_EQ(a.total_committed, b.total_committed);
+    EXPECT_EQ(a.makespan_ps, b.makespan_ps);
+    EXPECT_EQ(a.l2_accesses, b.l2_accesses);
+    EXPECT_EQ(a.l2_misses, b.l2_misses);
+    EXPECT_EQ(a.bank_conflicts, b.bank_conflicts);
+    EXPECT_EQ(a.bank_mshr_waits, b.bank_mshr_waits);
+    EXPECT_EQ(a.fill_merges, b.fill_merges);
+    EXPECT_EQ(a.invalidations, b.invalidations);
+    EXPECT_EQ(a.ownership_transfers, b.ownership_transfers);
 }
 
 /** The golden-row window: 12k measured + 2k warmup instructions. */

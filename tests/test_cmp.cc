@@ -41,26 +41,6 @@ using namespace gals::harness;
 namespace
 {
 
-/** Field-by-field equality of two chip runs (per-core + totals). */
-void
-expectSameChipStats(ChipRunStats &a, ChipRunStats &b)
-{
-    ASSERT_EQ(a.cores.size(), b.cores.size());
-    for (size_t c = 0; c < a.cores.size(); ++c) {
-        SCOPED_TRACE("core " + std::to_string(c));
-        expectSameStats(a.cores[c], b.cores[c]);
-    }
-    EXPECT_EQ(a.total_committed, b.total_committed);
-    EXPECT_EQ(a.makespan_ps, b.makespan_ps);
-    EXPECT_EQ(a.l2_accesses, b.l2_accesses);
-    EXPECT_EQ(a.l2_misses, b.l2_misses);
-    EXPECT_EQ(a.bank_conflicts, b.bank_conflicts);
-    EXPECT_EQ(a.bank_mshr_waits, b.bank_mshr_waits);
-    EXPECT_EQ(a.fill_merges, b.fill_merges);
-    EXPECT_EQ(a.invalidations, b.invalidations);
-    EXPECT_EQ(a.ownership_transfers, b.ownership_transfers);
-}
-
 /** A bare shared L2 + port for the arbitration unit tests. */
 SharedL2::Params
 bareParams(int cores, int banks, int bank_mshrs, Tick occupancy_ps)

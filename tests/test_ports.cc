@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <vector>
 
 #include "clock/clock.hh"
 #include "core/domain.hh"
@@ -233,4 +234,64 @@ TEST(Ports, WakeHubHeadPrefersEarliestThenLowestIndex)
     EXPECT_EQ(fabric.head(), 1); // earliest wins; ties to lowest index.
     fabric.park(1);
     EXPECT_EQ(fabric.head(), 2);
+}
+
+TEST(Ports, PackedCalendarOrdersAcrossLanesOfAFullChip)
+{
+    // A 16-core fabric: head() takes its minimum over four lanes
+    // (index mod 4), so the winner and its tie must sit in different
+    // lanes and at the far end of the table.
+    std::vector<Clock> clocks(kMaxSchedDomains, Clock(1000, 1000));
+    WakeFabric fabric(clocks.data(), kMaxSchedDomains);
+    for (int d = 0; d < kMaxSchedDomains; ++d)
+        fabric.setKey(d, 9000 + static_cast<Tick>(d));
+    EXPECT_EQ(fabric.head(), 0);
+    fabric.setKey(62, 700);
+    fabric.setKey(61, 700);
+    EXPECT_EQ(fabric.head(), 61); // same tick: lowest index wins.
+    fabric.park(61);
+    EXPECT_EQ(fabric.head(), 62);
+    fabric.setKey(63, 699);
+    EXPECT_EQ(fabric.head(), 63);
+    EXPECT_EQ(fabric.key(63), 699u);
+
+    for (int d = 0; d < kMaxSchedDomains; ++d)
+        fabric.park(d);
+    EXPECT_EQ(fabric.key(fabric.head()), kTickMax); // all parked.
+}
+
+TEST(Ports, PackedCalendarSaturatesFarTicksToParked)
+{
+    std::array<Clock, 4> clocks = testClocks();
+    WakeFabric fabric(clocks.data(), kNumDomains);
+    fabric.setKey(0, kCalTickMax - 1); // the latest representable key.
+    fabric.setKey(1, kCalTickMax);
+    fabric.setKey(2, kTickMax - 5);
+    fabric.setKey(3, kTickMax);
+    EXPECT_EQ(fabric.key(0), kCalTickMax - 1);
+    for (int d = 1; d < kNumDomains; ++d)
+        EXPECT_EQ(fabric.key(d), kTickMax) << d;
+    EXPECT_EQ(fabric.head(), 0);
+}
+
+TEST(Ports, PackedCalendarKeepsTheEarlierWake)
+{
+    // A wake never moves a key later: the fabric keeps the earlier of
+    // the current key and the new wake's first consumable edge.
+    std::array<Clock, 4> clocks = testClocks();
+    WakeFabric fabric(clocks.data(), kNumDomains);
+    WakeHub hub(fabric, 0, kNumDomains);
+    fabric.beginEventRun();
+    for (int d = 0; d < kNumDomains; ++d) {
+        fabric.setBound(d, kTickMax);
+        fabric.park(d);
+    }
+    WakePort fe_to_ls(hub, DomainId::FrontEnd, DomainId::LoadStore);
+    fe_to_ls.publishAt(1000, 5000);
+    EXPECT_EQ(fabric.key(3), 5000u);
+    fe_to_ls.publishAt(1000, 3000);
+    EXPECT_EQ(fabric.key(3), 3000u);
+    fe_to_ls.publishAt(1000, 4000); // bound already earlier: no-op.
+    EXPECT_EQ(fabric.key(3), 3000u);
+    EXPECT_EQ(fabric.head(), 3);
 }
