@@ -12,13 +12,15 @@
  * observability quickstart exercises: it produces coherence
  * invalidations AND reconfiguration decisions, so a GALS_TRACE run
  * carries every event family for scripts/check_trace.py).
+ * `cores` must be 1..kMaxCores and `banks` 1..64; anything else exits
+ * with status 2 and a message.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "cmp/chip.hh"
+#include "common/parse.hh"
 #include "workload/suite.hh"
 
 using namespace gals;
@@ -26,8 +28,13 @@ using namespace gals;
 int
 main(int argc, char **argv)
 {
-    int cores = argc > 1 ? std::atoi(argv[1]) : 2;
-    int banks = argc > 2 ? std::atoi(argv[2]) : 4;
+    int cores = 2;
+    int banks = 4;
+    if (argc > 1)
+        cores = static_cast<int>(
+            decimalArgOrExit("cores", argv[1], 1, kMaxCores));
+    if (argc > 2)
+        banks = static_cast<int>(decimalArgOrExit("banks", argv[2], 1, 64));
     const bool sharing =
         argc > 3 && std::strcmp(argv[3], "sharing") == 0;
 

@@ -28,6 +28,10 @@
  * the suite to its first N entries and `--sim/--warmup` shrink the
  * measured window (defaults keep the suite's own windows) — both are
  * deterministic, so sharded and unsharded runs stay comparable.
+ * Every number (`--benchmarks` 1..suite size, `--sim` >= 1,
+ * `--warmup` >= 0, each `--cores` item 1..kMaxCores) must be a plain
+ * decimal integer in range; anything else ("1k", "-5", "2x", "abc")
+ * exits with status 2 and a message.
  *
  * `--cache-dir DIR` enables the content-addressed result store
  * (sim/result_store.hh) on DIR, overriding GALS_RESULT_CACHE:
@@ -42,6 +46,7 @@
  * it, a dead cache dir degrades to a cold run with a warning).
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -50,6 +55,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "core/ports.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -101,23 +107,24 @@ writeFile(const std::string &path, const std::string &text)
     out << text;
 }
 
-/** Parse a comma-separated core-count list ("1,2,4"). */
+/** Largest --sim/--warmup window: their sum stays far from 2^64. */
+constexpr std::int64_t kMaxWindowInstrs = std::int64_t{1} << 40;
+
+/** Parse a comma-separated core-count list ("1,2,4"); exit 2 on a
+ * bad item or an empty list. */
 std::vector<int>
 parseIntList(const std::string &text)
 {
     std::vector<int> out;
     std::istringstream ss(text);
     std::string item;
-    while (std::getline(ss, item, ',')) {
-        int v = std::atoi(item.c_str());
-        if (v < 1 || v > kMaxCores) {
-            panic("bad core count '%s' (must be 1..%d)", item.c_str(),
-                  kMaxCores);
-        }
-        out.push_back(v);
+    while (std::getline(ss, item, ','))
+        out.push_back(static_cast<int>(
+            decimalArgOrExit("--cores", item.c_str(), 1, kMaxCores)));
+    if (out.empty()) {
+        std::fprintf(stderr, "--cores: empty core-count list\n");
+        std::exit(2);
     }
-    if (out.empty())
-        panic("empty core-count list");
     return out;
 }
 
@@ -128,12 +135,13 @@ main(int argc, char **argv)
 {
     std::string mode = "study";
     std::string bench;
-    std::string cores = "1,2,4,8,16";
+    std::vector<int> core_counts = {1, 2, 4, 8, 16};
     std::string out_path;
     std::string cache_dir;
     std::string trace_out;
     std::string metrics_out;
     ShardSpec shard = shardFromEnv();
+    std::vector<WorkloadParams> suite = benchmarkSuite();
     size_t benchmarks = 0; // 0 = whole suite.
     std::uint64_t sim_instrs = 0;
     std::uint64_t warmup_instrs = ~0ULL;
@@ -173,17 +181,20 @@ main(int argc, char **argv)
         } else if (arg == "--out") {
             out_path = value();
         } else if (arg == "--benchmarks") {
-            benchmarks = static_cast<size_t>(std::atoi(value()));
+            benchmarks = static_cast<size_t>(decimalArgOrExit(
+                "--benchmarks", value(), 1,
+                static_cast<std::int64_t>(suite.size())));
         } else if (arg == "--bench") {
             bench = value();
         } else if (arg == "--cores") {
-            cores = value();
+            core_counts = parseIntList(value());
         } else if (arg == "--sim") {
-            sim_instrs =
-                static_cast<std::uint64_t>(std::atoll(value()));
+            sim_instrs = static_cast<std::uint64_t>(
+                decimalArgOrExit("--sim", value(), 1, kMaxWindowInstrs));
         } else if (arg == "--warmup") {
-            warmup_instrs =
-                static_cast<std::uint64_t>(std::atoll(value()));
+            warmup_instrs = static_cast<std::uint64_t>(
+                decimalArgOrExit("--warmup", value(), 0,
+                                 kMaxWindowInstrs));
         } else if (arg == "--cache-dir") {
             cache_dir = value();
         } else if (arg == "--trace-out") {
@@ -215,8 +226,7 @@ main(int argc, char **argv)
               "or set GALS_RESULT_CACHE)");
     }
 
-    std::vector<WorkloadParams> suite = benchmarkSuite();
-    if (benchmarks != 0 && benchmarks < suite.size())
+    if (benchmarks != 0)
         suite.resize(benchmarks);
     for (WorkloadParams &wl : suite) {
         if (sim_instrs != 0)
@@ -250,7 +260,6 @@ main(int argc, char **argv)
             sweepAdaptiveRaw(wl, shard);
         json = adaptiveSweepShardJson(rows, wl.name, shard);
     } else if (mode == "cmp") {
-        std::vector<int> core_counts = parseIntList(cores);
         std::vector<CmpPointResult> rows =
             sweepCmpRaw(suite, core_counts, shard);
         if (verbose && !shard.sharded())

@@ -28,7 +28,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/arena.hh"
 #include "common/types.hh"
 
 namespace gals
@@ -151,9 +150,9 @@ class AccountingCache
     // keeps each set's metadata on one cache line and makes
     // construction three bulk fills instead of 3*num_sets vector
     // initializations per run.
-    ArenaVector<std::int8_t> mru_;
-    ArenaVector<Addr> tag_;
-    ArenaVector<std::uint8_t> valid_;
+    std::vector<std::int8_t> mru_;
+    std::vector<Addr> tag_;
+    std::vector<std::uint8_t> valid_;
 
     IntervalCounts interval_;
     std::uint64_t total_accesses_ = 0;

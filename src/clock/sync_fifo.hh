@@ -16,8 +16,8 @@
 #define GALS_CLOCK_SYNC_FIFO_HH
 
 #include <utility>
+#include <vector>
 
-#include "common/arena.hh"
 #include "common/logging.hh"
 #include "common/types.hh"
 
@@ -129,7 +129,7 @@ class SyncFifo
     }
 
     size_t capacity_;
-    ArenaVector<Entry> slots_;
+    std::vector<Entry> slots_;
     size_t head_ = 0;
     size_t count_ = 0;
 };

@@ -122,7 +122,7 @@ class LoadStoreUnit final : public Domain
 
     Lsq lsq_;
     std::unique_ptr<AccountingCache> l1d_;
-    ArenaVector<Tick> mshr_busy_;
+    std::vector<Tick> mshr_busy_;
     /** min(mshr_busy_): one compare decides "any MSHR free". */
     Tick mshr_min_free_ = 0;
 

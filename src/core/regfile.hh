@@ -15,8 +15,8 @@
 
 #include <cstdint>
 #include <utility>
+#include <vector>
 
-#include "common/arena.hh"
 #include "common/types.hh"
 #include "workload/uop.hh"
 
@@ -85,12 +85,12 @@ class RegisterFiles
     bool checkConsistent() const;
 
   private:
-    ArenaVector<PhysRegState> int_state_;
-    ArenaVector<PhysRegState> fp_state_;
-    ArenaVector<std::int16_t> free_int_;
-    ArenaVector<std::int16_t> free_fp_;
+    std::vector<PhysRegState> int_state_;
+    std::vector<PhysRegState> fp_state_;
+    std::vector<std::int16_t> free_int_;
+    std::vector<std::int16_t> free_fp_;
     /** Logical (0..63) to physical map; index -1 for the zero regs. */
-    ArenaVector<PhysRef> map_;
+    std::vector<PhysRef> map_;
 };
 
 } // namespace gals

@@ -20,10 +20,10 @@ namespace
  * of cold-starting every branch after a reconfiguration.
  */
 template <typename T>
-ArenaVector<T>
-resizeTable(const ArenaVector<T> &old, size_t new_size, T fallback)
+std::vector<T>
+resizeTable(const std::vector<T> &old, size_t new_size, T fallback)
 {
-    ArenaVector<T> fresh(new_size, fallback);
+    std::vector<T> fresh(new_size, fallback);
     if (!old.empty()) {
         size_t j = 0;
         for (size_t i = 0; i < new_size; ++i) {

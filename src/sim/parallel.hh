@@ -3,36 +3,43 @@
  * Index-parallel helper for the sweep layer.
  *
  * Simulations are independent and deterministic, so running them on a
- * few host threads changes nothing but wall-clock time. Unlike the
- * original spawn-threads-per-call helper, the pool here is persistent:
- *  - worker threads are created once and reused, so each worker's
- *    thread-local arena (common/arena.hh) keeps serving recycled
- *    simulation buffers across the hundreds of runs of a sweep instead
- *    of being torn down with the thread after every parallelFor;
- *  - indices are handed out in chunks, so a 1,024-point sweep costs
- *    ~dozens of atomic operations instead of one per design point.
+ * few host threads changes nothing but wall-clock time. The caller
+ * runs with up to `n - 1` helper threads; every index is claimed from
+ * one atomic counter, so uneven run times balance themselves.
  *
- * GALS_THREADS caps the worker count (0/unset = hardware concurrency);
+ * The helpers start on first need and then sleep between calls,
+ * because not every call is long. A study row or a cold sweep runs
+ * for seconds, but a sweep served warm from the result store is only
+ * record reads: 64 points take about 0.6 ms of CPU. A
+ * thread start and join costs about 30 us of CPU on a 4-vCPU VM host,
+ * so starting three threads per call cost such a sweep 17% of its
+ * throughput; a wake-up on a condition variable costs a few us.
+ *
+ * GALS_THREADS caps the thread count (unset = hardware concurrency);
  * it is re-read on every call so tests can toggle it with setenv.
  * Nested parallelFor calls (a sweep inside a per-benchmark study task)
- * run inline on the calling worker, which both bounds the thread
- * fan-out and keeps the arena affinity.
+ * run inline on the calling sweep thread, which bounds the fan-out
+ * at the cap. The helpers serve one top-level call at a time; a
+ * second, concurrent top-level call runs inline on its own thread.
  */
 
 #ifndef GALS_SIM_PARALLEL_HH
 #define GALS_SIM_PARALLEL_HH
 
+#include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
+#include <exception>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <thread>
-#include <vector>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 
 namespace gals
 {
@@ -40,201 +47,113 @@ namespace gals
 namespace detail
 {
 
-/** Lazily started, process-lifetime worker pool. */
-class SweepPool
+/** True while this thread runs parallelFor work (nested calls run
+ * inline). */
+inline bool &
+onSweepThread()
 {
-  public:
-    static SweepPool &
-    instance()
+    thread_local bool flag = false;
+    return flag;
+}
+
+/**
+ * The helper threads of parallelFor. They start on first need, sleep
+ * between calls and live until the process exits; the object is never
+ * destroyed, so exit joins nothing. One call owns them at a time
+ * (`owner`).
+ */
+struct SweepHelpers
+{
+    std::mutex owner;
+    std::mutex m;
+    std::condition_variable posted; //!< a job wants helpers.
+    std::condition_variable left;   //!< a helper finished the job.
+    const std::function<void()> *job = nullptr;
+    unsigned wanted = 0;  //!< helpers the job may still take.
+    unsigned inside = 0;  //!< helpers running the job.
+    unsigned started = 0;
+
+    static SweepHelpers &
+    get()
     {
-        static SweepPool pool;
-        return pool;
+        static SweepHelpers *h = new SweepHelpers;
+        return *h;
     }
 
-    /** True on a pool worker thread (nested calls run inline). */
-    static bool &
-    onWorker()
-    {
-        thread_local bool flag = false;
-        return flag;
-    }
-
-    /**
-     * Run fn(i) for i in [0, count) on up to `workers` threads (the
-     * caller participates too). Blocks until every index completed.
-     */
+    /** Run `work` on the caller and on up to `helpers` helpers; return
+     * once no helper runs it any more. `work` must not throw. */
     void
-    run(size_t count, const std::function<void(size_t)> &fn,
-        unsigned workers)
-    {
-        ensureThreads(workers - 1);
-
-        Job job;
-        job.fn = &fn;
-        job.count = count;
-        // Chunked claiming: large enough to amortize the atomic,
-        // small enough to balance uneven run times.
-        size_t chunk = count / (static_cast<size_t>(workers) * 8);
-        job.chunk = chunk == 0 ? 1 : chunk;
-
-        job.slots = workers - 1; // pool workers allowed to adopt.
-
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            job_ = &job;
-            ++generation_;
-        }
-        cv_.notify_all();
-
-        // The caller participates as one of the `workers`; while it
-        // does, nested parallelFor calls on this thread run inline
-        // (same rule as pool workers), so a per-benchmark sweep
-        // inside a study task cannot re-enter the pool.
-        bool was_worker = onWorker();
-        onWorker() = true;
-        work(job);
-        onWorker() = was_worker;
-
-        // Wait until every index ran AND no worker still holds a
-        // pointer to the stack-allocated job.
-        std::unique_lock<std::mutex> lock(mutex_);
-        done_cv_.wait(lock, [&] {
-            return job.completed == count && adopters_ == 0;
-        });
-        job_ = nullptr;
-    }
-
-  private:
-    struct Job
-    {
-        const std::function<void(size_t)> *fn = nullptr;
-        size_t count = 0;
-        size_t chunk = 1;
-        std::atomic<size_t> next{0};
-        size_t completed = 0; //!< guarded by mutex_.
-        unsigned slots = 0;   //!< adoption budget; guarded by mutex_.
-    };
-
-    void
-    ensureThreads(unsigned n)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        while (threads_.size() < n) {
-            threads_.emplace_back([this] {
-                onWorker() = true;
-                workerLoop();
-            });
-        }
-    }
-
-    void
-    workerLoop()
-    {
-        std::uint64_t seen = 0;
-        for (;;) {
-            Job *job;
-            {
-                std::unique_lock<std::mutex> lock(mutex_);
-                cv_.wait(lock, [&] {
-                    return stop_ || (job_ && generation_ != seen);
-                });
-                if (stop_)
-                    return;
-                seen = generation_;
-                // Honor the job's thread cap (GALS_THREADS or the
-                // caller's max_threads): surplus workers sit this
-                // generation out.
-                if (job_->slots == 0)
-                    continue;
-                --job_->slots;
-                job = job_;
-                ++adopters_;
-            }
-            work(*job);
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                --adopters_;
-            }
-            done_cv_.notify_all();
-        }
-    }
-
-    void
-    work(Job &job)
-    {
-        size_t done = 0;
-        for (;;) {
-            size_t begin = job.next.fetch_add(job.chunk);
-            if (begin >= job.count)
-                break;
-            size_t end = begin + job.chunk;
-            if (end > job.count)
-                end = job.count;
-            for (size_t i = begin; i < end; ++i)
-                (*job.fn)(i);
-            done += end - begin;
-        }
-        if (done != 0) {
-            std::lock_guard<std::mutex> lock(mutex_);
-            job.completed += done;
-        }
-        done_cv_.notify_all();
-    }
-
-    SweepPool() = default;
-
-    ~SweepPool()
+    run(const std::function<void()> &work, unsigned helpers)
     {
         {
-            std::lock_guard<std::mutex> lock(mutex_);
-            stop_ = true;
+            std::lock_guard<std::mutex> lock(m);
+            for (; started < helpers; ++started)
+                std::thread([this] { serve(); }).detach();
+            job = &work;
+            wanted = helpers;
         }
-        cv_.notify_all();
-        for (std::thread &t : threads_)
-            t.join();
+        posted.notify_all();
+        // The caller works as a sweep thread too, then is unmarked
+        // again, or every later sweep on it would run serially.
+        onSweepThread() = true;
+        work();
+        onSweepThread() = false;
+        // The caller's work returns once every index is claimed; a
+        // helper that has not joined by now has nothing left to do.
+        std::unique_lock<std::mutex> lock(m);
+        wanted = 0;
+        left.wait(lock, [&] { return inside == 0; });
+        job = nullptr;
     }
 
-    std::mutex mutex_;
-    std::condition_variable cv_;
-    std::condition_variable done_cv_;
-    std::vector<std::thread> threads_;
-    Job *job_ = nullptr;
-    std::uint64_t generation_ = 0;
-    unsigned adopters_ = 0; //!< workers holding the current job.
-    bool stop_ = false;
+    void
+    serve()
+    {
+        onSweepThread() = true;
+        std::unique_lock<std::mutex> lock(m);
+        for (;;) {
+            posted.wait(lock, [&] { return wanted > 0; });
+            --wanted;
+            ++inside;
+            const std::function<void()> *work = job;
+            lock.unlock();
+            (*work)();
+            lock.lock();
+            if (--inside == 0)
+                left.notify_one();
+        }
+    }
 };
 
 } // namespace detail
 
 /**
  * Strictly parse a thread-count environment variable. The entire
- * string must be a decimal integer in [1, ceiling]; empty, trailing
- * garbage, non-numeric, zero, negative, or out-of-range input falls
- * back (garbage to `fallback`, overlarge clamped to `ceiling`) with
- * a logged warning instead of silently misconfiguring the pool —
- * the old unchecked strtol read "8x" as 8 and "-3" as "unset".
+ * string must be a positive decimal integer (parseDecimal); garbage,
+ * zero and negative input fall back to `fallback` and overlarge input
+ * is clamped to `ceiling`, each with a logged warning, instead of
+ * silently misconfiguring the sweep threads — an unchecked strtol
+ * would read "8x" as 8 and "-3" as "unset".
  */
 inline unsigned
 threadCountFromEnv(const char *name, const char *text,
                    unsigned fallback, unsigned ceiling)
 {
-    char *end = nullptr;
-    errno = 0;
-    long v = std::strtol(text, &end, 10);
-    if (errno != 0 || end == text || *end != '\0' || v < 1) {
+    std::optional<std::int64_t> v = parseDecimal(text, 1, INT64_MAX);
+    if (!v) {
         warn("%s=\"%s\" is not a positive integer; using %u", name,
              text, fallback);
         return fallback;
     }
-    if (static_cast<unsigned long>(v) > ceiling) {
-        warn("%s=%ld exceeds the supported maximum of %u; clamping",
-             name, v, ceiling);
+    if (*v > ceiling) {
+        warn("%s=%s exceeds the supported maximum of %u; clamping",
+             name, text, ceiling);
         return ceiling;
     }
-    return static_cast<unsigned>(v);
+    return static_cast<unsigned>(*v);
 }
 
-/** Worker cap: GALS_THREADS when set (validated, clamped to the
+/** Thread cap: GALS_THREADS when set (validated, clamped to the
  * hardware thread count), else hardware threads. */
 inline unsigned
 sweepThreads()
@@ -255,7 +174,9 @@ sweepThreads()
  * host threads (0 = GALS_THREADS / hardware concurrency). fn must be
  * thread-safe with respect to distinct indices. Results must not
  * depend on execution order; every simulation here is deterministic
- * per index, so thread count never changes any output.
+ * per index, so thread count never changes any output. If fn throws,
+ * later indices may be skipped, and one of the exceptions is rethrown
+ * once every thread has finished with the call.
  */
 template <typename Fn>
 void
@@ -268,20 +189,43 @@ parallelFor(size_t count, Fn fn, unsigned max_threads = 0)
                                   : std::min(max_threads, limit);
     n = static_cast<unsigned>(std::min<size_t>(n, count));
 
-    if (n <= 1 || detail::SweepPool::onWorker()) {
+    detail::SweepHelpers &helpers = detail::SweepHelpers::get();
+    std::unique_lock<std::mutex> own;
+    if (n > 1 && !detail::onSweepThread())
+        own = std::unique_lock<std::mutex>(helpers.owner,
+                                           std::try_to_lock);
+    if (!own.owns_lock()) {
         for (size_t i = 0; i < count; ++i)
             fn(i);
         return;
     }
 
-    std::function<void(size_t)> erased = [&](size_t i) { fn(i); };
-    detail::SweepPool::instance().run(count, erased, n);
+    // Each thread claims one index at a time, so long and short runs
+    // balance without chunk sizing. An exception stops further claims
+    // and is rethrown to the caller.
+    std::atomic<size_t> next{0};
+    std::mutex error_mutex;
+    std::exception_ptr error;
+    const std::function<void()> work = [&] {
+        try {
+            for (size_t i; (i = next.fetch_add(1)) < count;)
+                fn(i);
+        } catch (...) {
+            std::lock_guard<std::mutex> lock(error_mutex);
+            if (!error)
+                error = std::current_exception();
+            next = count;
+        }
+    };
+    helpers.run(work, n - 1);
+    if (error)
+        std::rethrow_exception(error);
 }
 
 /**
  * Invoke fn(i) in parallel for every i in [0, count) owned by
- * `shard` (round-robin partition, sim/shard.hh): the in-process pool
- * covers one host's cores, the shard covers this process's slice of
+ * `shard` (round-robin partition, sim/shard.hh): the sweep threads
+ * cover one host's cores, the shard covers this process's slice of
  * a multi-process sweep. `shard.count == 1` degenerates to
  * parallelFor over every index.
  */
@@ -293,7 +237,7 @@ parallelForShard(size_t count, const Shard &shard, Fn fn,
     if (count == 0)
         return;
     // Owned indices are shard.index, shard.index + count_, ...:
-    // enumerate them densely so pool chunking stays balanced.
+    // enumerate them densely so the index claims stay balanced.
     size_t stride = static_cast<size_t>(shard.count);
     size_t first = static_cast<size_t>(shard.index);
     size_t owned =

@@ -2,7 +2,7 @@
  * @file
  * Deterministic sharding of sweeps across processes (and hosts).
  *
- * The in-process sweep pool (sim/parallel.hh) caps at one host's
+ * The in-process sweep threads (sim/parallel.hh) cap at one host's
  * hardware concurrency; design-space sweeps beyond that are split by
  * running the same binary N times with `--shard i/N` (or
  * GALS_SHARDS=i/N) and merging the per-shard JSON outputs. The

@@ -15,8 +15,8 @@
 #define GALS_WORKLOAD_GENERATOR_HH
 
 #include <cstdint>
+#include <vector>
 
-#include "common/arena.hh"
 #include "common/random.hh"
 #include "workload/params.hh"
 #include "workload/uop.hh"
@@ -160,14 +160,14 @@ class SyntheticWorkload
     void newLoopEpisode();
 
     // Dependence chains.
-    ArenaVector<Chain> chains_;
+    std::vector<Chain> chains_;
     size_t chain_idx_ = 0;
     int ops_in_segment_ = 0;
 
     // Per-branch-site iteration counters (indexed by hot line).
-    ArenaVector<std::uint32_t> site_counter_;
+    std::vector<std::uint32_t> site_counter_;
     /** Per-site behavior: 0 unset, 1 loop, 2 taken, 3 not-taken. */
-    ArenaVector<std::uint8_t> site_kind_;
+    std::vector<std::uint8_t> site_kind_;
 };
 
 } // namespace gals

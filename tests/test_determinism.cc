@@ -139,6 +139,22 @@ TEST(Determinism, RepeatRunsAreIdentical)
     expectSameStats(simulate(m, wl), simulate(m, wl));
 }
 
+TEST(Determinism, RepeatedRunsOnOneThreadAreIdentical)
+{
+    // The sweep pattern: many single-core runs one after another on
+    // one thread. Nothing may leak from one run into the next.
+    WorkloadParams wl = findBenchmark("gzip");
+    wl.sim_instrs = 2'000;
+    wl.warmup_instrs = 500;
+    MachineConfig m = MachineConfig::mcdPhaseAdaptive();
+
+    RunStats first = simulate(m, wl);
+    for (int i = 0; i < 5; ++i) {
+        SCOPED_TRACE(i);
+        expectSameStats(simulate(m, wl), first);
+    }
+}
+
 TEST(Determinism, SweepIndependentOfThreadCount)
 {
     WorkloadParams wl = findBenchmark("gzip");

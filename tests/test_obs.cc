@@ -285,14 +285,16 @@ TEST_F(ObsTest, SharingMixTraceCarriesAllLanes)
 // Satellite 3: publication-order tripwire (death test).
 // ---------------------------------------------------------------------
 
-using ObsDeathTest = ObsTest;
-
-TEST_F(ObsDeathTest, OutOfOrderEventTripsAssert)
+// No fixture: the threadsafe style re-runs the test body in a
+// re-executed child that dies before any TearDown, so a directory made
+// there would be left behind on every run. The child traces to the
+// null device instead; it dies before the at-exit export.
+TEST(ObsDeathTest, OutOfOrderEventTripsAssert)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    auto out_of_order = [this]() {
+    auto out_of_order = []() {
         obs::Tracer &tr = obs::Tracer::instance();
-        tr.configure(trace_path_);
+        tr.configure("/dev/null");
         tr.beginRun("death", 1);
         tr.sim(0, obs::Ev::EpochBump, 1'000);
         tr.sim(0, obs::Ev::EpochBump, 500); // rewinds the track.

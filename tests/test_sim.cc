@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "sim/parallel.hh"
 #include "sim/report.hh"
@@ -41,13 +43,82 @@ TEST(Parallel, SingleThreadFallback)
     EXPECT_EQ(sum, 45);
 }
 
+TEST(Parallel, NestedCallsRunInlineAndFlagIsRestored)
+{
+    // A nested call (a sweep inside a study task) runs every index on
+    // the thread that made it.
+    constexpr size_t kOuter = 16;
+    constexpr size_t kInner = 8;
+    std::vector<std::thread::id> outer(kOuter);
+    std::vector<std::vector<std::thread::id>> inner(
+        kOuter, std::vector<std::thread::id>(kInner));
+    parallelFor(kOuter, [&](size_t i) {
+        outer[i] = std::this_thread::get_id();
+        parallelFor(kInner, [&](size_t j) {
+            inner[i][j] = std::this_thread::get_id();
+        });
+    });
+    for (size_t i = 0; i < kOuter; ++i) {
+        for (size_t j = 0; j < kInner; ++j)
+            EXPECT_EQ(inner[i][j], outer[i]) << i << "/" << j;
+    }
+
+    // The caller is unmarked again: a flag left set would run every
+    // later sweep on this thread serially.
+    EXPECT_FALSE(detail::onSweepThread());
+}
+
+TEST(Parallel, ConcurrentTopLevelCallRunsInline)
+{
+    // The helpers serve one top-level call at a time. A call from a
+    // thread that is not a sweep thread while they are busy (here a
+    // plain thread started inside a task, which the task then joins)
+    // runs inline instead of waiting for them, which would deadlock.
+    std::vector<int> outer(64, 0);
+    std::vector<int> inner(32, 0);
+    std::thread::id inner_thread;
+    std::vector<std::thread::id> inner_ran(inner.size());
+    parallelFor(outer.size(), [&](size_t i) {
+        ++outer[i];
+        if (i != 0)
+            return;
+        std::thread([&] {
+            inner_thread = std::this_thread::get_id();
+            parallelFor(inner.size(), [&](size_t j) {
+                ++inner[j];
+                inner_ran[j] = std::this_thread::get_id();
+            });
+        }).join();
+    });
+    for (int h : outer)
+        EXPECT_EQ(h, 1);
+    for (size_t j = 0; j < inner.size(); ++j) {
+        EXPECT_EQ(inner[j], 1) << j;
+        EXPECT_EQ(inner_ran[j], inner_thread) << j;
+    }
+}
+
+TEST(Parallel, ExceptionReachesTheCaller)
+{
+    // A throwing index on any thread reaches the caller after every
+    // thread joined, and the caller is unmarked as on a normal return.
+    EXPECT_THROW(parallelFor(64,
+                             [](size_t i) {
+                                 if (i == 37)
+                                     throw std::runtime_error("leaf");
+                             }),
+                 std::runtime_error);
+    EXPECT_FALSE(detail::onSweepThread());
+}
+
 TEST(Parallel, ThreadCountEnvParsingFallsBackAndClamps)
 {
     // Strict full-string parsing: garbage falls back (with a logged
     // warning) instead of silently half-parsing — an unchecked strtol
     // would read "8x" as 8 and treat "-3" as unset.
     EXPECT_EQ(threadCountFromEnv("N", "3", 1, 16), 3u);
-    for (const char *bad : {"banana", "8x", "-3", "0", ""})
+    for (const char *bad :
+         {"banana", "8x", "-3", "0", "", "99999999999999999999"})
         EXPECT_EQ(threadCountFromEnv("N", bad, 1, 16), 1u) << bad;
     EXPECT_EQ(threadCountFromEnv("N", "64", 1, 16), 16u);
 
